@@ -7,6 +7,7 @@ program from source in whatever checkout it is copied into.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import platform
 import random
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -80,6 +82,62 @@ def remove_workdir(path: Path) -> None:
         pass
 
 
+def child_pids() -> List[int]:
+    """Every live or unreaped child of this process (Linux ``/proc``)."""
+    me = os.getpid()
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised name: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry.name))
+    return found
+
+
+def stop_children(timeout_s: float = 10.0) -> None:
+    """Stop and reap every process this run started.
+
+    A process-pool run leaves ``multiprocessing``'s resource tracker
+    behind: it exits only when its pipe closes, which would happen
+    after this process is gone, leaving it to outlive the run.  Stop
+    it first, then wait for any other child, and terminate, then kill,
+    whatever has not ended by the deadline.
+    """
+    from multiprocessing import resource_tracker
+
+    stop_tracker = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop_tracker is not None:
+        stop_tracker()
+    for sig in (None, signal.SIGTERM, signal.SIGKILL):
+        pids = child_pids()
+        if not pids:
+            return
+        for pid in pids:
+            if sig is not None:
+                try:
+                    os.kill(pid, sig)
+                except ProcessLookupError:
+                    pass
+        deadline = clock() + timeout_s
+        while not all(_reaped(pid) for pid in pids):
+            # A killed process always ends; wait for it without limit.
+            if sig is not signal.SIGKILL and clock() >= deadline:
+                break
+            time.sleep(0.01)
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:
+        return True
+
+
 # ----------------------------------------------------------------------
 # Statistics
 # ----------------------------------------------------------------------
@@ -94,16 +152,42 @@ def repeated_setup(set_up, probe: "SpeedProbe", min_repeats: int = 5,
     """Call ``set_up()`` (which returns ``(seconds, *parts)``) at least
     ``min_repeats`` times and until ``min_seconds`` of set-up time has
     accumulated, so small set-ups repeat many times and their median
-    stays steady.  Returns the median scaled by the machine speed the
-    probe saw right before and after, and the last call's parts."""
-    first = len(probe.samples)
-    probe.sample()
-    seconds: List[float] = []
-    while len(seconds) < min_repeats or sum(seconds) < min_seconds:
+    stays steady.  Returns the median set-up time and the last call's
+    parts.
+
+    The probe is timed between blocks of calls that take at least as
+    long as the probe, and each call is scaled by the machine speed of
+    the two probe times around its block: the speed can swing by a
+    factor of two within a second, so one factor for the whole set-up
+    tracks it poorly.  These times are not added to the probe's
+    samples, which scale the timed phase.  Each call starts from a
+    collected heap: otherwise the garbage of the previous call's
+    topology falls to the cyclic collector at a varying point inside
+    the next one."""
+    before = probe.time()
+    block: List[float] = []
+    scaled: List[float] = []
+
+    def scale_block() -> None:
+        nonlocal before
+        after = probe.time()
+        speed = (before + after) / (2 * PROBE_REFERENCE_S)
+        scaled.extend(elapsed / speed for elapsed in block)
+        block.clear()
+        before = after
+
+    total = 0.0
+    while len(scaled) + len(block) < min_repeats or total < min_seconds:
+        parts = None  # release the previous call's topology first
+        gc.collect()
         elapsed, *parts = set_up()
-        seconds.append(elapsed)
-    probe.sample()
-    return Timing(median(seconds) / probe.factor(first), len(seconds)), parts
+        block.append(elapsed)
+        total += elapsed
+        if sum(block) >= PROBE_REFERENCE_S:
+            scale_block()
+    if block:
+        scale_block()
+    return Timing(median(scaled), len(scaled)), parts
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -150,25 +234,28 @@ class SpeedProbe:
         self.samples: List[float] = []
         self._last = float("-inf")
 
-    def sample(self) -> None:
+    def time(self) -> float:
+        """One pass of the loop, in seconds (not recorded)."""
         nxt, cells, slot = self._next, self._cells, 0
         start = clock()
         for step in range(PROBE_STEPS):
             slot = nxt[slot]
             cells[slot] += step
+        return clock() - start
+
+    def sample(self) -> None:
+        self.samples.append(self.time())
         self._last = clock()
-        self.samples.append(self._last - start)
 
     def sample_if_due(self) -> None:
         if clock() - self._last >= PROBE_INTERVAL_S:
             self.sample()
 
-    def factor(self, first: int = 0) -> float:
-        """Mean probe time of ``samples[first:]`` ÷ the reference."""
-        samples = self.samples[first:]
-        if not samples:
+    def factor(self) -> float:
+        """Mean probe time of the samples ÷ the reference."""
+        if not self.samples:
             return 1.0
-        return statistics.mean(samples) / PROBE_REFERENCE_S
+        return statistics.mean(self.samples) / PROBE_REFERENCE_S
 
 
 def peak_rss_mb() -> float:
@@ -186,7 +273,7 @@ class Timing(NamedTuple):
 def report_end_to_end(outcome: "Outcome", probe: SpeedProbe, rate: float,
                       ops: int, setup: Timing) -> None:
     """The metrics ``BENCHMARK.json`` lists; ``rate`` is scaled by the
-    speed probe here, ``setup`` already is."""
+    speed probe here, ``setup`` already is (or is not scaled at all)."""
     factor = probe.factor()
     outcome.metric("ops_per_s", rate * factor, "1/s", ops)
     outcome.metric("setup_s", setup.seconds, "s", setup.samples)

@@ -288,21 +288,19 @@ def phase(workdir: Path, name: str, document: dict, seed: int,
           trace_dump: Optional[Path] = None):
     """Seed a fresh store, start the server ``starts`` times (the last
     one stays up), run ``JOBS`` jobs; returns the job samples, the
-    queue's event count, and the start-up time (median, scaled by the
-    probe samples around the starts)."""
+    queue's event count, and the start-up time (median)."""
     store_dir = workdir / f"store-{name}"
     topology_seed = derive_seed(seed, "topology")
     seed_history(store_dir, document, seed, topology_seed)
-    first = len(probe.samples)
-    probe.sample()
     setups: List[float] = []
     for attempt in range(starts):
         server = Server(workdir, store_dir, trace_dump)
         setups.append(server.setup_s)
         if attempt < starts - 1:
             server.stop()
-    probe.sample()
-    setup = Timing(median(setups) / probe.factor(first), len(setups))
+    # Not scaled by the speed probe: a server start is process start-up
+    # and imports, which the probe's memory-bound loop does not track.
+    setup = Timing(median(setups), len(setups))
     samples: List[JobSample] = []
     bodies = []
     try:

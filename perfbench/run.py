@@ -19,7 +19,10 @@ import argparse
 import json
 import sys
 
-from common import BenchError, environment, import_repro, make_workdir, remove_workdir
+from common import (
+    BenchError, environment, import_repro, make_workdir, remove_workdir,
+    stop_children,
+)
 
 WORKLOADS = ("granularity-10k", "deployment-10k", "jobs-http", "resume-large")
 END_TO_END = ("ops_per_s", "setup_s", "peak_rss_mb")
@@ -57,6 +60,7 @@ def main(argv=None) -> int:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
     finally:
+        stop_children()
         remove_workdir(workdir)
     outcome.env.update(environment(outcome.env.get("executor", "serial")))
     outcome.env.update(
