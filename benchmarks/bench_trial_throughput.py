@@ -72,6 +72,12 @@ from repro.exper import (
 )
 from repro.results import JsonlSink
 
+#: Every timed run evaluates this many times ``--trials`` trials.  With
+#: single-seed propagation draw-free, a ``--trials``-sized run lasts a
+#: fraction of a second: pool start-up then dominates the 3x gate and
+#: scheduler noise the 5% and 2% gates.  Scaled, each run lasts seconds.
+TIMED_TRIAL_FACTOR = 12
+
 
 def granularity_spec(trials: int, seed: int) -> ExperimentSpec:
     """The §4/§5 maxLength-granularity sweep: one attack, ten ROA
@@ -165,16 +171,20 @@ def timed(label, fn, *args):
 def bench_sink_overhead(topology, spec, repeats):
     """Serial trials/sec with and without a JSONL sink attached.
 
-    Interleaved best-of-``repeats`` timing (plain, sink, plain, sink,
-    …) so a load spike on a shared runner hits both arms alike; the
-    sink writes to a fresh temp file per run.
+    Interleaved best-of-``repeats`` timing (plain, sink, sink, plain,
+    …) so a load spike on a shared runner hits both arms alike and
+    neither arm always runs first; the sink writes to a fresh temp
+    file per run.
     """
     total = spec.total_trials
     best = {"plain": None, "sink": None}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for repeat in range(repeats):
-            for arm in ("plain", "sink"):
+            order = ("plain", "sink") if repeat % 2 == 0 else (
+                "sink", "plain"
+            )
+            for arm in order:
                 sink = None
                 if arm == "sink":
                     path = Path(tmp) / f"run-{repeat}.jsonl"
@@ -246,7 +256,8 @@ def main(argv=None) -> int:
     parser.add_argument("--ases", type=int, default=10000,
                         help="topology size for the gated runs")
     parser.add_argument("--trials", type=int, default=48,
-                        help="trials per engine/executor combination")
+                        help="trials per engine/executor combination, "
+                             "scaled by TIMED_TRIAL_FACTOR")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=2017)
     parser.add_argument("--big-ases", type=int, default=75000,
@@ -258,7 +269,7 @@ def main(argv=None) -> int:
                         help="also time the sharded executor with this "
                              "many shards (0 = skip; its results must "
                              "match the serial run byte for byte)")
-    parser.add_argument("--sink-repeats", type=int, default=3,
+    parser.add_argument("--sink-repeats", type=int, default=5,
                         help="timing repetitions per sink-overhead arm; "
                              "best run counts")
     parser.add_argument("--telemetry-repeats", type=int, default=10,
@@ -273,7 +284,7 @@ def main(argv=None) -> int:
         topology = generate_topology(
             TopologyProfile(ases=args.ases), random.Random(args.seed)
         )
-    spec = granularity_spec(args.trials, args.seed)
+    spec = granularity_spec(TIMED_TRIAL_FACTOR * args.trials, args.seed)
     total = spec.total_trials
     workers = args.workers
 

@@ -261,13 +261,18 @@ def evaluate_attack_seeds(
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
+        # A single-seed propagation's adopted set does not depend on
+        # the tie-break, and only the adopted set is measured here, so
+        # it draws nothing (as in the array engine): the trial's
+        # tie-break stream is spent on multi-seed propagations alone.
         covering_routes = propagate_prefix(
             topology, victim_prefix, [victim_seed],
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+            vrp_index=vrp_index, validating_ases=validating_ases, rng=None,
         )
         attack_routes = propagate_prefix(
             topology, attack_prefix, list(attacker_seeds),
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+            vrp_index=vrp_index, validating_ases=validating_ases,
+            rng=rng if len(attacker_seeds) != 1 else None,
         )
     else:
         combined = propagate_prefix(

@@ -17,8 +17,8 @@ phases over an :class:`~repro.bgp.topology.CompiledTopology`:
   two byte loads instead of a radix walk.
 
 **Bit-for-bit contract.**  Given the same topology, seeds, and RNG,
-the array engine produces exactly the routes and consumes exactly the
-random stream of the object engine.  This works because:
+the array engine's sweep produces exactly the routes and consumes
+exactly the random stream of the object engine.  This works because:
 
 1. AS indices are assigned in ascending ASN order, so sorting offers
    by source index equals the object engine's sort by advertising
@@ -34,22 +34,22 @@ random stream of the object engine.  This works because:
 The test suite pins this contract; keep it when touching either
 engine.
 
-**Trial throughput.**  Monte-Carlo grids evaluate thousands of
-propagations on one topology, so the per-propagation constants matter
-as much as the sweep itself.  A :class:`PropagationWorkspace` keeps
-the per-AS state arrays alive across propagations (reset in O(touched
-ASes), not O(n)), caches the per-trial validation bitmask, and — the
-big one — caches *single-seed propagation profiles*: with one seed
-there is no inter-seed competition, so the adoption structure and the
-sequence of tie-break candidate counts are a deterministic function of
-(seed, blocked set) alone, independent of what the RNG actually
-returns.  A repeated single-seed propagation (the victim's covering
-route evaluated for every grid cell, or an attack announcement whose
-RFC 6811 verdict repeats across cells) therefore replays the recorded
-candidate counts through the RNG — consuming the identical random
-stream — without re-running the sweep.  Multi-seed propagations are
-never cached: there the chosen winner decides which seed's blocked
-set gates later offers, so the structure is draw-dependent.
+**Draw-free single-seed propagation.**  With one seed, loop prevention
+only blocks the seed's own initial path (every later hop is already an
+adopter), so the tie-break picks parents but never changes who adopts:
+the adopted set is plain valley-free reachability.  Attack evaluation
+needs only that set, so both engines evaluate single-seed propagations
+without an RNG, and this module answers them with :func:`_reach` — no
+buckets, offer lists, sorting or draws.  Only multi-seed propagations
+draw from the trial's tie-break stream; :func:`propagate_prefix_array`
+still draws, since materialized parent chains depend on the tie-break.
+
+**Trial throughput.**  A :class:`PropagationWorkspace` keeps the per-AS
+state arrays alive across propagations (reset in O(touched ASes), not
+O(n)), caches the per-trial validation bitmask, and caches single-seed
+outcomes by (seed, RFC 6811 verdict) within the trial's validator set,
+so the victim's covering route — needed by every grid cell — and a
+repeated attack verdict cost one pass per trial.
 """
 
 from __future__ import annotations
@@ -147,12 +147,16 @@ class _Lane:
         self.touched: list[int] = []
 
     def reset(self) -> None:
-        adopted = self.adopted
-        offer_srcs = self.offer_srcs
-        for i in self.touched:
-            adopted[i] = 0
-            offer_srcs[i] = None
-        self.touched.clear()
+        touched = self.touched
+        if 8 * len(touched) >= self.n:  # a C-level refill beats the loop
+            self.adopted[:] = bytes(self.n)
+            self.offer_srcs[:] = [None] * self.n
+        else:
+            adopted, offer_srcs = self.adopted, self.offer_srcs
+            for i in touched:
+                adopted[i] = 0
+                offer_srcs[i] = None
+        touched.clear()
 
     def hard_reset(self) -> None:
         """Full reinitialization — for exception paths, where the
@@ -179,50 +183,8 @@ class _State:
         self.counts = counts
 
 
-@dataclass(frozen=True)
-class _Profile:
-    """Cached outcome of one single-seed propagation.
-
-    ``counts_seq`` is the tie-break candidate count of every adoption,
-    in draw order — the complete description of the propagation's RNG
-    consumption, replayed by :func:`_replay_draws`.  Stored as
-    ``bytes`` when every count fits (the overwhelmingly common case;
-    candidate counts are bounded by node degree), which keeps a
-    CAIDA-scale profile at one byte per adoption.
-    """
-
-    adopted: bytes
-    total: int
-    counts_seq: Union[bytes, tuple[int, ...]]
-
-    @staticmethod
-    def pack_counts(counts: Sequence[int]) -> Union[bytes, tuple[int, ...]]:
-        if all(count < 256 for count in counts):
-            return bytes(counts)
-        return tuple(counts)
-
-
-def _replay_draws(
-    counts_seq: Sequence[int], rng: Optional[random.Random]
-) -> None:
-    """Consume exactly the random stream of a recorded propagation."""
-    if rng is None:
-        return
-    if _FAST_RANDBELOW and type(rng) is random.Random:
-        getrandbits = rng.getrandbits
-        for count in counts_seq:
-            if count == 1:
-                while getrandbits(1):
-                    pass
-            else:
-                bits = count.bit_length()
-                draw = getrandbits(bits)
-                while draw >= count:
-                    draw = getrandbits(bits)
-    else:
-        choice = rng.choice
-        for count in counts_seq:
-            choice(range(count))
+#: A single-seed outcome: 0/1 adopted flags per AS index, adopter count.
+_Outcome = tuple[Union[bytes, bytearray], int]
 
 
 def _compiled_of(
@@ -265,16 +227,17 @@ class PropagationWorkspace:
     :func:`evaluate_attack_seeds_array_batch`: the per-AS state arrays
     are allocated once and reset in O(touched) between propagations,
     the validation bitmask is computed once per validator set instead
-    of once per propagation, and single-seed propagations repeated
-    under the same validator set are served from the profile cache
-    (see the module docstring).  Results are byte-identical to the
+    of once per propagation, and single-seed outcomes repeated under
+    the same validator set are served from the profile cache (see the
+    module docstring).  Results are byte-identical to the
     workspace-free path — including RNG consumption — which the test
     suite pins.
 
-    The workspace counts its own behavior (sweeps run, ASes touched,
-    profile cache hits/misses, mask builds) into ``registry`` under the
-    ``fastprop.`` namespace; by default the process registry at
-    construction time, so worker processes each record into their own.
+    The workspace counts its own behavior (sweeps and reachability
+    passes run, ASes touched, profile cache hits/misses, mask builds)
+    into ``registry`` under the ``fastprop.`` namespace; by default the
+    process registry at construction time, so worker processes each
+    record into their own.
 
     Not thread-safe; share nothing across threads or processes.
     """
@@ -290,7 +253,7 @@ class PropagationWorkspace:
             registry if registry is not None else get_registry()
         )
         self._lanes: list[_Lane] = []
-        self._profiles: dict[tuple, _Profile] = {}
+        self._profiles: dict[tuple, _Outcome] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._mask: Optional[bytearray] = None
         self._universal_mask: Optional[bytearray] = None
@@ -331,7 +294,7 @@ class PropagationWorkspace:
                 self.metrics.mask_builds.inc()
         return self._mask
 
-    def profile(self, key: tuple) -> Optional[_Profile]:
+    def profile(self, key: tuple) -> Optional[_Outcome]:
         profile = self._profiles.get(key)
         if profile is not None:
             # Refresh recency (dict order is insertion order), so the
@@ -344,7 +307,7 @@ class PropagationWorkspace:
             self.metrics.profile_misses.inc()
         return profile
 
-    def store_profile(self, key: tuple, profile: _Profile) -> None:
+    def store_profile(self, key: tuple, profile: _Outcome) -> None:
         profiles = self._profiles
         if len(profiles) >= _PROFILE_CAP:
             del profiles[next(iter(profiles))]
@@ -361,17 +324,13 @@ def _propagate(
     *,
     lane: Optional[_Lane] = None,
     mask: Optional[bytearray] = None,
-    invalid: Optional[list[bool]] = None,
-    capture: Optional[list[int]] = None,
 ) -> tuple[_State, _Lane]:
     """The three Gao–Rexford phases as array sweeps.
 
     ``lane`` supplies reusable arrays (fresh ones are allocated when
     absent); it must satisfy the clean-lane invariant on entry and is
-    returned dirty — the caller resets it.  ``mask``/``invalid`` let a
-    workspace pass precomputed validation state; ``capture`` records
-    the tie-break candidate count of every adoption, in draw order,
-    for single-seed profile replay.
+    returned dirty — the caller resets it.  ``mask`` lets a workspace
+    pass its precomputed validation bitmask.
     """
     n = len(compiled)
     index_of = compiled.index_of
@@ -387,14 +346,13 @@ def _propagate(
     # One validation verdict per seed: every propagated copy claims the
     # seed's origin, so the object engine's per-offer radix walk is a
     # constant here.
-    if invalid is None:
-        invalid = [False] * len(seed_list)
-        if vrp_index is not None:
-            for k, seed in enumerate(seed_list):
-                invalid[k] = (
-                    vrp_index.validate(prefix, seed.path[-1])
-                    is ValidationState.INVALID
-                )
+    invalid = [False] * len(seed_list)
+    if vrp_index is not None:
+        for k, seed in enumerate(seed_list):
+            invalid[k] = (
+                vrp_index.validate(prefix, seed.path[-1])
+                is ValidationState.INVALID
+            )
     if vrp_index is not None and mask is None and any(invalid):
         mask = compiled.validation_mask(validating_ases)
     validation_on = vrp_index is not None
@@ -499,8 +457,6 @@ def _propagate(
                     continue
                 srcs = offer_srcs[t]
                 count = len(srcs)
-                if capture is not None:
-                    capture.append(count)
                 if count == 1:
                     chosen = srcs[0]
                     if getrandbits is not None:
@@ -582,8 +538,6 @@ def _propagate(
     peer_targets.sort()
     for t in peer_targets:
         srcs = offer_srcs[t]
-        if capture is not None:
-            capture.append(len(srcs))
         chosen = _choose(srcs, rng)
         adopted[t] = 1
         k = slot[chosen]
@@ -710,8 +664,6 @@ def _lane_propagation(
     workspace: Optional[PropagationWorkspace],
     *,
     mask: Optional[bytearray] = None,
-    invalid: Optional[list[bool]] = None,
-    capture: Optional[list[int]] = None,
 ):
     """The lane lifecycle protocol, shared by every sweep call site:
     acquire a workspace lane (or a fresh one), propagate, yield the
@@ -722,7 +674,7 @@ def _lane_propagation(
     try:
         state, used_lane = _propagate(
             compiled, prefix, seed_list, vrp_index, validating_ases,
-            rng, lane=lane, mask=mask, invalid=invalid, capture=capture,
+            rng, lane=lane, mask=mask,
         )
     except BaseException:
         if lane is not None:
@@ -731,13 +683,59 @@ def _lane_propagation(
     try:
         yield state
     finally:
-        if workspace is not None and workspace.metrics.enabled:
-            # Read the touched count BEFORE reset clears the list.
-            metrics = workspace.metrics
-            metrics.sweeps.inc()
-            metrics.touched_ases.inc(len(used_lane.touched))
-            metrics.lane_resets.inc()
-        used_lane.reset()
+        _release(workspace, used_lane)
+
+
+def _release(workspace: Optional[PropagationWorkspace], lane: _Lane) -> None:
+    """Count one finished propagation and reset its lane."""
+    if workspace is not None and workspace.metrics.enabled:
+        # Read the touched count BEFORE reset clears the list.
+        metrics = workspace.metrics
+        metrics.sweeps.inc()
+        metrics.touched_ases.inc(len(lane.touched))
+        metrics.lane_resets.inc()
+    lane.reset()
+
+
+def _reach(
+    compiled: CompiledTopology,
+    seed: Seed,
+    mask: Optional[bytearray],
+    adopted: bytearray,
+    touched: list[int],
+) -> None:
+    """Adopt one seed's announcement by valley-free reachability.
+
+    Marks in ``adopted`` (and appends to the empty ``touched``) exactly
+    the ASes :func:`_propagate` adopts for the lone seed under any RNG,
+    drawing nothing.  ``mask`` is the validation bitmask for an
+    RFC 6811 INVALID seed, else ``None``.
+    """
+    index_of = compiled.index_of
+    origin = index_of.get(seed.asn)
+    if origin is None:
+        raise SimulationError(f"seed AS{seed.asn} not in topology")
+    if mask is not None and mask[origin]:
+        return  # a validating origin drops its own invalid route
+    # Never offered: the seed's path (loop prevention), and validators.
+    seen = bytearray(mask) if mask is not None else bytearray(len(compiled))
+    for asn in seed.path:
+        if asn in index_of:
+            seen[index_of[asn]] = 1
+    adopted[origin] = 1
+    touched.append(origin)
+    append = touched.append
+    for rows, chain in (
+        (compiled.provider_rows, True),
+        (compiled.peer_rows, False),
+        (compiled.customer_rows, True),
+    ):
+        # The growing list is a BFS queue; a snapshot allows one hop.
+        for i in touched if chain else touched[:]:
+            for t in rows[i]:
+                if not seen[t]:
+                    seen[t] = adopted[t] = 1
+                    append(t)
 
 
 def _single_seed_outcome(
@@ -746,44 +744,41 @@ def _single_seed_outcome(
     seed: Seed,
     vrp_index: Optional[VrpIndex],
     validating_ases: Optional[frozenset[int]],
-    rng: Optional[random.Random],
     workspace: Optional[PropagationWorkspace],
-) -> tuple[Union[bytes, bytearray], int]:
+) -> _Outcome:
     """(adopted flags, total adoptions) of a single-seed propagation.
 
-    With a workspace, served from the profile cache when this (seed,
-    verdict) was already propagated under the current validator epoch
-    — replaying the recorded candidate counts so the RNG advances
-    exactly as a real sweep would.  Cache misses run the sweep on a
-    workspace lane, record the profile, and release the lane.
+    Computed by :func:`_reach`, so it draws nothing.  With a
+    workspace, served from the profile cache when this (seed, verdict)
+    was already propagated under the current validator epoch; a miss
+    runs the pass on lane 0, caches the outcome, and resets the lane.
     """
-    if workspace is None:
-        state, _lane = _propagate(
-            compiled, prefix, [seed], vrp_index, validating_ases, rng
-        )
-        return state.adopted, state.counts[0]
-
     invalid = vrp_index is not None and (
         vrp_index.validate(prefix, seed.path[-1]) is ValidationState.INVALID
     )
+    if workspace is None:
+        mask = compiled.validation_mask(validating_ases) if invalid else None
+        adopted, touched = bytearray(len(compiled)), []
+        _reach(compiled, seed, mask, adopted, touched)
+        return adopted, len(touched)
+
     key = (seed.asn, seed.path, invalid)
     profile = workspace.profile(key)
     if profile is not None:
-        _replay_draws(profile.counts_seq, rng)
-        return profile.adopted, profile.total
-
-    mask = workspace.mask() if invalid else None
-    capture: list[int] = []
-    with _lane_propagation(
-        compiled, prefix, [seed], vrp_index, validating_ases, rng,
-        workspace, mask=mask, invalid=[invalid], capture=capture,
-    ) as state:
-        profile = _Profile(
-            bytes(state.adopted), state.counts[0],
-            _Profile.pack_counts(capture),
+        return profile
+    lane = workspace.lane(0)
+    try:
+        _reach(
+            compiled, seed, workspace.mask() if invalid else None,
+            lane.adopted, lane.touched,
         )
+    except BaseException:
+        lane.hard_reset()
+        raise
+    profile = (bytes(lane.adopted), len(lane.touched))
+    _release(workspace, lane)
     workspace.store_profile(key, profile)
-    return profile.adopted, profile.total
+    return profile
 
 
 def evaluate_attack_seeds_array(
@@ -803,7 +798,8 @@ def evaluate_attack_seeds_array(
 
     Same measurement, same return value, same RNG consumption — but the
     capture fractions are counted straight off the raw adoption arrays,
-    so no path tuple or :class:`Route` is ever materialized.  Pass a
+    so no path tuple or :class:`Route` is ever materialized, and only
+    multi-seed propagations draw from ``rng``.  Pass a
     :class:`PropagationWorkspace` (one per worker) to reuse state
     arrays and propagation profiles across calls; results are
     byte-identical either way.
@@ -836,16 +832,16 @@ def evaluate_attack_seeds_array(
     if is_subprefix:
         cover_adopted, cover_total = _single_seed_outcome(
             compiled, victim_prefix, victim_seed,
-            vrp_index, validating_ases, rng, workspace,
+            vrp_index, validating_ases, workspace,
         )
         if len(attacker_seeds) == 1:
             attack_adopted, attack_total = _single_seed_outcome(
                 compiled, attack_prefix, attacker_seeds[0],
-                vrp_index, validating_ases, rng, workspace,
+                vrp_index, validating_ases, workspace,
             )
         else:
-            # The cover outcome above is immutable profile bytes, so
-            # the multi-attacker sweep can reuse lane 0.
+            # The cover outcome above owns its flags, so the
+            # multi-attacker sweep can reuse lane 0.
             mask = None
             if workspace is not None and vrp_index is not None:
                 mask = workspace.mask()

@@ -51,21 +51,28 @@ class BgpSessionError(ReproError):
 
 
 class _Peer:
-    """One established session, serviced by a reader thread."""
+    """One established session, serviced by a reader thread.
+
+    ``pending`` holds the bytes that arrived behind the peer's OPEN
+    during the handshake (its KEEPALIVE, often its first UPDATEs);
+    they are session traffic, processed before anything read later.
+    """
 
     def __init__(self, speaker: "BgpSpeaker", connection: socket.socket,
-                 peer_asn: int) -> None:
+                 peer_asn: int, pending: bytes) -> None:
         self.speaker = speaker
         self.connection = connection
         self.peer_asn = peer_asn
         self.established = threading.Event()
-        self._buffer = b""
+        self._buffer = pending
 
     def send(self, message: BgpMessage) -> None:
         self.connection.sendall(encode_message(message))
 
     def reader_loop(self) -> None:
         try:
+            if not self._drain():
+                return
             while True:
                 try:
                     chunk = self.connection.recv(65536)
@@ -195,14 +202,14 @@ class BgpSpeaker:
         """Open a session to a remote speaker; returns the peer ASN."""
         connection = socket.create_connection((host, port), timeout=timeout)
         connection.sendall(encode_message(self._open_message()))
-        peer_open = self._read_one_open(connection, timeout)
+        peer_open, pending = self._read_one_open(connection, timeout)
         if expected_asn is not None and peer_open.asn != expected_asn:
             connection.close()
             raise BgpSessionError(
                 f"expected AS{expected_asn}, peer claims AS{peer_open.asn}"
             )
         connection.sendall(encode_message(KeepaliveMessage()))
-        self._install_peer(connection, peer_open.asn)
+        self._install_peer(connection, peer_open.asn, pending)
         return peer_open.asn
 
     def _open_message(self) -> OpenMessage:
@@ -213,7 +220,16 @@ class BgpSpeaker:
         )
 
     @staticmethod
-    def _read_one_open(connection: socket.socket, timeout: float) -> OpenMessage:
+    def _read_one_open(
+        connection: socket.socket, timeout: float
+    ) -> tuple[OpenMessage, bytes]:
+        """Read up to and including the peer's OPEN.
+
+        Returns the OPEN and every byte received after it: a peer may
+        send its KEEPALIVE and first UPDATEs in the same segment, and
+        those belong to the session (RFC 4271 OpenSent → OpenConfirm
+        → Established), not to the handshake.
+        """
         connection.settimeout(timeout)
         buffer = b""
         while True:
@@ -226,7 +242,7 @@ class BgpSpeaker:
                 buffer += chunk
                 continue
             if isinstance(message, OpenMessage):
-                return message
+                return message, buffer[consumed:]
             if isinstance(message, KeepaliveMessage):
                 buffer = buffer[consumed:]
                 continue
@@ -239,16 +255,17 @@ class BgpSpeaker:
             except OSError:
                 return
             try:
-                peer_open = self._read_one_open(connection, 5.0)
+                peer_open, pending = self._read_one_open(connection, 5.0)
                 connection.sendall(encode_message(self._open_message()))
                 connection.sendall(encode_message(KeepaliveMessage()))
             except (BgpSessionError, OSError):
                 connection.close()
                 continue
-            self._install_peer(connection, peer_open.asn)
+            self._install_peer(connection, peer_open.asn, pending)
 
-    def _install_peer(self, connection: socket.socket, peer_asn: int) -> None:
-        peer = _Peer(self, connection, peer_asn)
+    def _install_peer(self, connection: socket.socket, peer_asn: int,
+                      pending: bytes) -> None:
+        peer = _Peer(self, connection, peer_asn, pending)
         with self._lock:
             self._peers[peer_asn] = peer
             # Existing routes are advertised to the new peer.

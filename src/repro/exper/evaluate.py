@@ -1,11 +1,15 @@
 """Pure trial evaluation: (topology, spec, trial) → TrialRecords.
 
-One trial evaluates *every* grid cell, in order, with a single
-tie-break RNG seeded from the trial — a paired design: every cell sees
-the same (victim, attackers) cast, the same validator sample, and the
-same tie-break luck, so cell-to-cell differences measure the policy,
-not the noise.  (It is also exactly what the legacy study loops did,
-which is why they reproduce bit-for-bit through this engine.)
+One trial evaluates *every* grid cell, in order — a paired design:
+every cell sees the same (victim, attackers) cast and the same
+validator sample, so cell-to-cell differences measure the policy, not
+the noise.  Tie-break luck is paired too, among the propagations that
+have any: a single-seed propagation (the victim's covering route, a
+lone subprefix attacker) has an adoption outcome independent of
+tie-breaks and draws nothing, while the multi-seed propagations
+(same-prefix attacks, several attackers) share one tie-break RNG
+seeded from the trial, consumed in cell order.  Both engines follow
+that rule, so they stay byte-identical.
 
 All cells — the four historical single-attacker variants and the
 scenario space the old loops could not express (multiple simultaneous

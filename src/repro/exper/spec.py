@@ -90,7 +90,8 @@ class TrialSpec:
         attackers: the hijacker cast (cells use a prefix of it).
         validating_ases: the sampled validator set, or ``None`` for
             universal validation.
-        tie_seed: seeds the tie-break RNG shared by the trial's cells.
+        tie_seed: seeds the tie-break RNG shared by the trial's
+            multi-seed propagations (single-seed ones draw nothing).
         trial_bits: per-trial random word for policies that flip coins
             (0 when no cell needs it).
     """
@@ -111,7 +112,8 @@ class ExperimentSpec:
     Attributes:
         cells: the (attack × ROA policy) grid cells, evaluated per
             trial in order with a shared tie-break RNG (a paired
-            design: every cell sees the same cast and the same luck).
+            design: every cell sees the same cast, and its multi-seed
+            propagations the same luck).
         trials: trials per fraction.
         seed: master seed.
         fractions: validating-AS fractions; ``None`` means universal

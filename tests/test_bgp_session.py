@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import pytest
 
 from repro.bgp import Announcement, VrpIndex
+from repro.bgp.message import (
+    KeepaliveMessage,
+    OpenMessage,
+    announcement_to_update,
+    encode_message,
+)
 from repro.bgp.session import BgpSessionError, BgpSpeaker
 from repro.netbase import Prefix
 from repro.rpki import Vrp
@@ -75,6 +84,70 @@ class TestRouteExchange:
         origin.announce(Announcement(p("2001:db8::/32"), (111,)))
         route = transit.wait_for_route(p("2001:db8::/32"))
         assert route.prefix.family == 6
+
+
+class TestHandshakeLeftovers:
+    """Bytes that share a TCP segment with the peer's OPEN are session
+    traffic (RFC 4271 OpenSent → OpenConfirm → Established): the
+    KEEPALIVE and the first UPDATE a fast peer sends right behind its
+    OPEN must reach the session, not vanish with the handshake."""
+
+    @staticmethod
+    def _segment(asn: int, prefix: str) -> bytes:
+        return b"".join((
+            encode_message(OpenMessage(asn=asn, hold_time=90,
+                                       bgp_identifier=0x0A000001)),
+            encode_message(KeepaliveMessage()),
+            encode_message(announcement_to_update(
+                Announcement(p(prefix), (asn,))
+            )),
+        ))
+
+    def test_read_one_open_returns_the_leftover_bytes(self):
+        left, right = socket.socketpair()
+        with left, right:
+            segment = self._segment(65001, "10.1.0.0/16")
+            left.sendall(segment)
+            peer_open, pending = BgpSpeaker._read_one_open(right, 2.0)
+        assert peer_open.asn == 65001
+        assert pending == segment[len(encode_message(peer_open)):]
+
+    def test_accepting_speaker_processes_update_behind_open(self):
+        with BgpSpeaker(111) as speaker:
+            with socket.create_connection(
+                ("127.0.0.1", speaker.port), timeout=5.0
+            ) as raw:
+                raw.sendall(self._segment(65001, "10.1.0.0/16"))
+                route = speaker.wait_for_route(p("10.1.0.0/16"))
+                assert route.as_path == (65001,)
+                assert speaker.peers() == [65001]
+
+    def test_connecting_speaker_processes_update_behind_open(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            with BgpSpeaker(20) as speaker:
+                def answer():
+                    connection, _ = listener.accept()
+                    with connection:
+                        connection.recv(65536)  # the speaker's OPEN
+                        connection.sendall(
+                            self._segment(65002, "10.2.0.0/16")
+                        )
+                        ready.wait(5.0)
+
+                ready = threading.Event()
+                peer = threading.Thread(target=answer, daemon=True)
+                peer.start()
+                try:
+                    assert speaker.connect_to(
+                        "127.0.0.1", port, expected_asn=65002
+                    ) == 65002
+                    route = speaker.wait_for_route(p("10.2.0.0/16"))
+                    assert route.as_path == (65002,)
+                finally:
+                    ready.set()
+                    peer.join(5.0)
+                assert not peer.is_alive()
 
 
 class TestOriginValidationAtIngress:

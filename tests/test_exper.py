@@ -442,7 +442,15 @@ class TestLegacyReplay:
     (sequential ``random.Random`` streams) before the engine rewrite,
     then re-pinned once when the seeded tie-break was made independent
     of edge insertion order (it now sorts candidates before drawing;
-    only ``forged_origin_minimal`` moved).
+    only ``forged_origin_minimal`` moved), and once more when
+    single-seed propagations stopped drawing from the trial's
+    tie-break stream.  That second move is again only
+    ``forged_origin_minimal`` (0.2944015444015444 → 0.27413127413127414):
+    it is the one multi-seed cell, and it follows three single-seed
+    cells, so its draws now start at a different stream position.  The
+    deployment sweep is all single-seed cells and did not move;
+    ``TestDrawFreeAgreement`` checks the moved means stay inside the
+    old bootstrap CIs.
     """
 
     @pytest.fixture(scope="class")
@@ -456,7 +464,7 @@ class TestLegacyReplay:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.2944015444015444
+        assert result.forged_origin_minimal == 0.27413127413127414
 
     def test_deployment_sweep_golden(self, replay_topology):
         from repro.analysis import run_deployment_sweep
@@ -486,6 +494,68 @@ class TestLegacyReplay:
             replay_topology, fractions=(0.5,), samples=3, seed=2,
             executor="process", workers=2,
         )
+
+
+class TestDrawFreeAgreement:
+    """Draw-free single-seed propagation moved one golden; the move is
+    tie-break noise, not a change of measurement.
+
+    The bounds are each cell's 95% bootstrap CI (1000 resamples) on
+    the legacy golden specs, recorded before single-seed propagations
+    stopped drawing from the trial's tie-break stream.  Every cell's
+    mean today must lie inside its old CI.
+    """
+
+    #: (spec, cell, fraction) → old (ci_low, ci_high).
+    OLD_CIS = {
+        ("hijack", "subprefix-hijack/none", None): (1.0, 1.0),
+        ("hijack", "forged-origin-subprefix/maxlength-loose", None):
+            (1.0, 1.0),
+        ("hijack", "forged-origin-subprefix/minimal", None): (0.0, 0.0),
+        ("hijack", "forged-origin/minimal", None):
+            (0.12837837837837837, 0.4845559845559846),
+        ("deployment", "subprefix-hijack/minimal", 0.25):
+            (0.07027027027027027, 0.4891891891891892),
+        ("deployment", "forged-origin-subprefix/minimal", 0.25):
+            (0.07027027027027027, 0.49729729729729727),
+        ("deployment", "forged-origin-subprefix/maxlength-loose", 0.25):
+            (1.0, 1.0),
+        ("deployment", "subprefix-hijack/minimal", 0.75): (0.0, 0.0),
+        ("deployment", "forged-origin-subprefix/minimal", 0.75):
+            (0.0, 0.0),
+        ("deployment", "forged-origin-subprefix/maxlength-loose", 0.75):
+            (1.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_new_means_inside_old_cis(self, engine):
+        import dataclasses
+
+        from repro.analysis.deployment import deployment_sweep_spec
+        from repro.analysis.hijack_eval import hijack_study_spec
+
+        topology = generate_topology(
+            TopologyProfile(ases=150), random.Random(5)
+        )
+        specs = {
+            "hijack": hijack_study_spec(samples=7, seed=42),
+            "deployment": deployment_sweep_spec(
+                fractions=(0.25, 0.75), samples=5, seed=9
+            ),
+        }
+        checked = 0
+        for label, spec in specs.items():
+            result = ExperimentRunner(
+                topology, dataclasses.replace(spec, engine=engine)
+            ).run()
+            for row in result.stats:
+                for stats in row:
+                    low, high = self.OLD_CIS[
+                        (label, stats.cell, stats.fraction)
+                    ]
+                    assert low <= stats.mean <= high, (label, stats)
+                    checked += 1
+        assert checked == len(self.OLD_CIS)
 
 
 class TestEvaluateTrial:

@@ -298,7 +298,7 @@ class TestExperimentEngineField:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.2944015444015444
+        assert result.forged_origin_minimal == 0.27413127413127414
 
     def test_array_engine_with_process_executor(self, topology):
         """Engine and executor axes compose: array × process equals

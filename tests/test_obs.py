@@ -543,7 +543,7 @@ class TestTelemetryInvariants:
         assert snapshot["fastprop.touched_ases"] > 0
         assert snapshot["fastprop.epochs"] >= 1
         # Identical cells in one trial: the second cell's single-seed
-        # propagations replay from the profile cache.
+        # outcomes are served from the profile cache.
         assert snapshot["fastprop.profile_hits"] > 0
         assert snapshot["fastprop.profile_misses"] > 0
 
