@@ -269,7 +269,7 @@ def main(argv=None) -> int:
                         help="also time the sharded executor with this "
                              "many shards (0 = skip; its results must "
                              "match the serial run byte for byte)")
-    parser.add_argument("--sink-repeats", type=int, default=5,
+    parser.add_argument("--sink-repeats", type=int, default=3,
                         help="timing repetitions per sink-overhead arm; "
                              "best run counts")
     parser.add_argument("--telemetry-repeats", type=int, default=10,

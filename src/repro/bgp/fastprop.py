@@ -147,16 +147,12 @@ class _Lane:
         self.touched: list[int] = []
 
     def reset(self) -> None:
-        touched = self.touched
-        if 8 * len(touched) >= self.n:  # a C-level refill beats the loop
-            self.adopted[:] = bytes(self.n)
-            self.offer_srcs[:] = [None] * self.n
-        else:
-            adopted, offer_srcs = self.adopted, self.offer_srcs
-            for i in touched:
-                adopted[i] = 0
-                offer_srcs[i] = None
-        touched.clear()
+        adopted = self.adopted
+        offer_srcs = self.offer_srcs
+        for i in self.touched:
+            adopted[i] = 0
+            offer_srcs[i] = None
+        self.touched.clear()
 
     def hard_reset(self) -> None:
         """Full reinitialization — for exception paths, where the

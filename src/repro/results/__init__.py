@@ -47,6 +47,7 @@ from .sinks import (
     HEADER_SCHEMA,
     JsonlSink,
     MemorySink,
+    PROPAGATION_REVISION,
     ResultSink,
     RunHeader,
     SinkWriteError,
@@ -71,6 +72,7 @@ __all__ = [
     "HEADER_SCHEMA",
     "JsonlSink",
     "MemorySink",
+    "PROPAGATION_REVISION",
     "ResultSink",
     "ResultsStore",
     "RunHeader",

@@ -59,6 +59,7 @@ __all__ = [
     "HEADER_SCHEMA",
     "JsonlSink",
     "MemorySink",
+    "PROPAGATION_REVISION",
     "ResultSink",
     "RunHeader",
     "SinkWriteError",
@@ -73,6 +74,13 @@ __all__ = [
 HEADER_SCHEMA = 1
 
 _HEADER_KIND = "repro.results/run"
+
+#: Revision of the propagation semantics behind a run's records.  At
+#: revision 2 single-seed propagations draw no tie-breaks, which moves
+#: the trial RNG stream of every multi-seed cell behind a single-seed
+#: one.  A header without the field was written at revision 1.  Read
+#: accepts any revision; resume and merge refuse to mix two.
+PROPAGATION_REVISION = 2
 
 
 class SinkWriteError(ReproError):
@@ -117,11 +125,12 @@ def topology_digest(topology) -> str:
 class RunHeader:
     """The first line of a durable run: what these records belong to.
 
-    ``spec_hash`` and ``topology_hash`` are the identity checks
-    (resume and merge refuse a mismatch on either); ``seed`` and
-    ``engine`` ride along for observability; ``spec`` is the full JSON
-    spec, so a run file alone suffices to re-aggregate — or resume —
-    the experiment.
+    ``spec_hash``, ``topology_hash`` and ``propagation`` (the
+    :data:`PROPAGATION_REVISION` that computed the records) are the
+    identity checks (resume and merge refuse a mismatch on any);
+    ``seed`` and ``engine`` ride along for observability; ``spec`` is
+    the full JSON spec, so a run file alone suffices to re-aggregate —
+    or resume — the experiment.
     """
 
     spec_hash: str
@@ -129,6 +138,7 @@ class RunHeader:
     engine: str
     spec: dict
     topology_hash: Optional[str] = None
+    propagation: int = PROPAGATION_REVISION
 
     @classmethod
     def for_spec(
@@ -164,6 +174,7 @@ class RunHeader:
             "engine": self.engine,
             "spec": self.spec,
             "topology_hash": self.topology_hash,
+            "propagation": self.propagation,
         }
 
     @classmethod
@@ -188,6 +199,7 @@ class RunHeader:
                 topology_hash=(
                     None if topology_hash is None else str(topology_hash)
                 ),
+                propagation=int(data.get("propagation", 1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"bad run header: {exc}") from None
@@ -247,7 +259,8 @@ def _check_spec(
 def check_header_compatible(
     existing: RunHeader, header: RunHeader, where: str
 ) -> None:
-    """Refuse to mix records of different specs — or topologies.
+    """Refuse to mix records of different specs, topologies or
+    propagation revisions.
 
     A missing topology hash on either side (a header built without a
     topology in hand) is not a mismatch; two *different* digests are.
@@ -256,6 +269,13 @@ def check_header_compatible(
         raise ReproError(
             f"{where} holds records for spec hash "
             f"{existing.spec_hash}, not {header.spec_hash}"
+        )
+    if existing.propagation != header.propagation:
+        raise ReproError(
+            f"{where} holds records computed under propagation "
+            f"revision {existing.propagation}, not "
+            f"{header.propagation}; it cannot be resumed or merged "
+            f"with this version, start a fresh run"
         )
     if (
         existing.topology_hash is not None

@@ -40,6 +40,7 @@ from repro.results import (
     GridAccumulator,
     JsonlSink,
     MemorySink,
+    PROPAGATION_REVISION,
     ResultsStore,
     RunHeader,
     RunRegistry,
@@ -458,6 +459,37 @@ class TestResume:
         ).run()
         sink.close()
         assert resumed == full
+
+    def test_pre_revision_run_reads_but_does_not_resume(
+        self, topology, tmp_path
+    ):
+        """A run recorded before single-seed propagation went draw-free
+        has no ``propagation`` field: it still reads, but resuming it
+        would mix two tie-break streams, so resume and merge refuse."""
+        spec = small_spec()
+        path = tmp_path / "old.jsonl"
+        _, lines = run_full(topology, spec, path)
+        old_header = json.loads(lines[0])
+        assert old_header.pop("propagation") == PROPAGATION_REVISION
+        lines[0] = json.dumps(old_header).encode() + b"\n"
+        interrupt(path, lines, keep=5)
+
+        header, records = read_run(path)
+        assert header.propagation == 1
+        assert len(records) == 4
+
+        sink = JsonlSink(path)
+        with pytest.raises(ReproError, match="propagation revision 1"):
+            ExperimentRunner(
+                topology, spec, sink=sink, resume_from=sink
+            ).run()
+        sink.close()
+        assert record_lines(path)[:5] == lines[:5]  # left untouched
+
+        current = tmp_path / "new.jsonl"
+        run_full(topology, spec, current)
+        with pytest.raises(ReproError, match="propagation revision"):
+            merge_runs(tmp_path / "out.jsonl", [path, current])
 
     def test_shm_cleaned_up_when_resume_finishes_early(
         self, topology, tmp_path
