@@ -73,10 +73,11 @@ from repro.exper import (
 from repro.results import JsonlSink
 
 #: Every timed run evaluates this many times ``--trials`` trials.  With
-#: single-seed propagation draw-free, a ``--trials``-sized run lasts a
-#: fraction of a second: pool start-up then dominates the 3x gate and
-#: scheduler noise the 5% and 2% gates.  Scaled, each run lasts seconds.
-TIMED_TRIAL_FACTOR = 12
+#: single-seed propagations batched into bit-parallel lane passes, a
+#: ``--trials``-sized run lasts a fraction of a second: pool start-up
+#: then dominates the 3x gate and scheduler noise the 5% and 2% gates.
+#: Scaled, each run of the current engine lasts seconds.
+TIMED_TRIAL_FACTOR = 96
 
 
 def granularity_spec(trials: int, seed: int) -> ExperimentSpec:

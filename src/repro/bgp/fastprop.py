@@ -39,23 +39,45 @@ only blocks the seed's own initial path (every later hop is already an
 adopter), so the tie-break picks parents but never changes who adopts:
 the adopted set is plain valley-free reachability.  Attack evaluation
 needs only that set, so both engines evaluate single-seed propagations
-without an RNG, and this module answers them with :func:`_reach` — no
-buckets, offer lists, sorting or draws.  Only multi-seed propagations
-draw from the trial's tie-break stream; :func:`propagate_prefix_array`
-still draws, since materialized parent chains depend on the tie-break.
+without an RNG.  Only multi-seed propagations draw from the trial's
+tie-break stream; :func:`propagate_prefix_array` still draws, since
+materialized parent chains depend on the tie-break.
+
+**Lane batches.**  :func:`evaluate_attack_seeds_array_batch` answers
+the single-seed propagations of many trials at once.  Each distinct
+(seed, path, RFC 6811 verdict, validator set) is one *lane*; every AS
+holds one Python int with a ``W``-bit field per lane (``W`` =
+``n.bit_length()``, so a field can count every AS).  One pass runs the
+three reachability steps as bitwise ORs over the whole batch —
+customers into providers, one peer hop from those values, providers
+into customers — each masked by the lanes an AS never accepts (the
+seed's own path; the validators, for an INVALID seed).  The visit
+order is the strongly connected components of the customer→provider
+graph in topological order, so an acyclic stretch is one visit per AS
+and a cycle repeats until nothing changes.  Summing the ints adds
+every field at once: the per-lane adopter counts.  A lane whose origin
+validates its own INVALID seed is empty and takes no field.
+:func:`_reach`, the one-seed breadth-first form of the same pass,
+serves the single-call :func:`evaluate_attack_seeds_array` and is the
+batch's test oracle.
 
 **Trial throughput.**  A :class:`PropagationWorkspace` keeps the per-AS
 state arrays alive across propagations (reset in O(touched ASes), not
-O(n)), caches the per-trial validation bitmask, and caches single-seed
-outcomes by (seed, RFC 6811 verdict) within the trial's validator set,
-so the victim's covering route — needed by every grid cell — and a
-repeated attack verdict cost one pass per trial.
+O(n)), caches the per-trial validation bitmask, and, on the single-call
+path, caches single-seed outcomes by (seed, RFC 6811 verdict) within
+the trial's validator set, so the victim's covering route — needed by
+every grid cell — and a repeated attack verdict cost one pass per
+trial.  The batch path needs no such cache: a repeated lane key is the
+same lane.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import operator
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -83,6 +105,11 @@ _PROVIDER = int(RouteClass.PROVIDER)
 #: (bounds worker memory on CAIDA-scale graphs; within one trial a
 #: grid needs at most one profile per cell).
 _PROFILE_CAP = 32
+
+#: Lanes per bit-parallel pass.  Every AS holds one int of ``lanes ×
+#: W`` bits, so the cap bounds a pass's memory: about 1.5 MiB for 64
+#: lanes at 10k ASes.
+_LANE_CAP = 64
 
 
 def _fast_randbelow_ok() -> bool:
@@ -777,6 +804,376 @@ def _single_seed_outcome(
     return profile
 
 
+# ----------------------------------------------------------------------
+# Lane batches: many single-seed propagations in one pass
+# ----------------------------------------------------------------------
+
+
+def _components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph ``i → rows[i]``,
+    each listed after every component it reaches (Tarjan's algorithm,
+    iterative)."""
+    n = len(rows)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == order[v]:
+                    component: list[int] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
+#: A run of ASes visited in order: (AS indices, the rows they read,
+#: whether the run is one cyclic component that repeats until settled).
+_Segment = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], bool]
+
+
+def _segments(
+    components: Iterable[list[int]], rows: Sequence[tuple[int, ...]]
+) -> tuple[_Segment, ...]:
+    """Group components into visit segments; ASes with empty rows
+    gain nothing and are left out."""
+    segments: list[_Segment] = []
+    run: list[int] = []
+
+    def flush() -> None:
+        if run:
+            segments.append(
+                (tuple(run), tuple(rows[a] for a in run), False)
+            )
+            run.clear()
+
+    for component in components:
+        if len(component) == 1:
+            if rows[component[0]]:
+                run.append(component[0])
+        else:
+            flush()
+            segments.append((
+                tuple(component), tuple(rows[a] for a in component), True,
+            ))
+    flush()
+    return tuple(segments)
+
+
+#: Visit plans per compiled topology, built on first use in each
+#: process (never at compile time, which set-up pays for).
+_PLANS: "weakref.WeakKeyDictionary[CompiledTopology, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _visit_plan(compiled: CompiledTopology) -> tuple:
+    """(up segments, peer rows, down segments) for :func:`_lane_pass`.
+
+    Components of the customer→provider graph come customers first,
+    so going up every customer settles before its providers read it;
+    going down the order reverses.  A cyclic component is one segment
+    that repeats, so the pass reaches the same fixed point on any
+    graph.
+    """
+    plan = _PLANS.get(compiled)
+    if plan is None:
+        # Edges provider → customer: Tarjan lists customers first.
+        components = _components(compiled.customer_rows)
+        peers = [a for a, row in enumerate(compiled.peer_rows) if row]
+        plan = (
+            _segments(components, compiled.customer_rows),
+            (tuple(peers), tuple(compiled.peer_rows[a] for a in peers)),
+            _segments(reversed(components), compiled.provider_rows),
+        )
+        _PLANS[compiled] = plan
+    return plan
+
+
+def _flow(
+    reached: list[int], keep: list[int], segments: tuple[_Segment, ...]
+) -> None:
+    """OR each AS's row neighbors into it, masked by ``keep``."""
+    for nodes, rows, cyclic in segments:
+        for a, row in zip(nodes, rows):
+            gain = 0
+            for b in row:
+                gain |= reached[b]
+            if gain:
+                reached[a] |= gain & keep[a]
+        while cyclic:
+            cyclic = False
+            for a, row in zip(nodes, rows):
+                gain = 0
+                for b in row:
+                    gain |= reached[b]
+                value = reached[a] | gain & keep[a]
+                if value != reached[a]:
+                    reached[a] = value
+                    cyclic = True
+
+
+#: One lane: (origin index, seed path, validation mask for an INVALID
+#: seed else ``None``).
+_LaneSpec = tuple[int, tuple[int, ...], Optional[bytearray]]
+
+
+def _lane_pass(
+    compiled: CompiledTopology, lanes: Sequence[_LaneSpec], width: int
+) -> list[int]:
+    """Valley-free reachability for every lane at once.
+
+    Returns one int per AS whose field ``j`` (bit ``j × width``) is
+    set iff lane ``j`` adopted there — lane by lane exactly
+    :func:`_reach`'s adopted set.
+    """
+    n = len(compiled)
+    index_of = compiled.index_of
+    full = 0
+    for j in range(len(lanes)):
+        full |= 1 << j * width
+    reached = [0] * n
+    keep = [full] * n
+    invalid: dict[int, list] = {}
+    for j, (origin, path, mask) in enumerate(lanes):
+        bit = 1 << j * width
+        reached[origin] |= bit
+        # Never offered: the origin and the rest of the seed's path
+        # (loop prevention), and, for an INVALID seed, the validators.
+        keep[origin] &= ~bit
+        for asn in path:
+            i = index_of.get(asn)
+            if i is not None:
+                keep[i] &= ~bit
+        if mask is not None:
+            invalid.setdefault(id(mask), [mask, 0])[1] |= bit
+    for mask, bits in invalid.values():
+        drop = ~bits
+        for i in itertools.compress(range(n), mask):
+            keep[i] &= drop
+
+    up, (peer_nodes, peer_rows), down = _visit_plan(compiled)
+    _flow(reached, keep, up)
+    # One peer hop from the step-1 values: gather first, then apply,
+    # so no gain is passed on within the step.
+    gained = []
+    for a, row in zip(peer_nodes, peer_rows):
+        gain = 0
+        for b in row:
+            gain |= reached[b]
+        gain &= keep[a]
+        if gain:
+            gained.append((a, gain))
+    for a, gain in gained:
+        reached[a] |= gain
+    _flow(reached, keep, down)
+    return reached
+
+
+class _LaneBatch:
+    """Single-seed subprefix cases gathered for one :func:`_lane_pass`.
+
+    Each case needs two propagations — the victim's covering route and
+    the lone attacker's subprefix — looked up by lane key (seed ASN,
+    seed path, INVALID verdict, and the validator set if INVALID); a
+    repeated key is the same lane, counted as a profile hit.
+    """
+
+    __slots__ = ("workspace", "width", "keys", "lanes", "cases", "hits")
+
+    def __init__(self, workspace: PropagationWorkspace) -> None:
+        self.workspace = workspace
+        self.width = len(workspace.compiled).bit_length()
+        self.keys: dict[tuple, Optional[int]] = {}
+        self.lanes: list[_LaneSpec] = []
+        self.cases: list[tuple] = []
+        self.hits = 0
+
+    def _key(
+        self, prefix: Prefix, seed: Seed, case: AttackCase
+    ) -> tuple[tuple, Optional[_LaneSpec]]:
+        """(lane key, lane) of one single-seed propagation; the lane is
+        ``None`` when it adopts nowhere (a validating origin drops its
+        own INVALID route)."""
+        origin = self.workspace.compiled.index_of.get(seed.asn)
+        if origin is None:
+            raise SimulationError(f"seed AS{seed.asn} not in topology")
+        invalid = case.vrp_index is not None and (
+            case.vrp_index.validate(prefix, seed.path[-1])
+            is ValidationState.INVALID
+        )
+        key = (
+            seed.asn, seed.path, invalid,
+            case.validating_ases if invalid else None,
+        )
+        mask = self.workspace.mask() if invalid else None
+        if mask is not None and mask[origin]:
+            return key, None
+        return key, (origin, seed.path, mask)
+
+    def _lane(self, key: tuple, spec: Optional[_LaneSpec]) -> Optional[int]:
+        """The key's lane number, opened on first use."""
+        lane = self.keys.get(key, self)
+        if lane is not self:
+            self.hits += 1
+            return lane
+        lane = None
+        if spec is not None:
+            lane = len(self.lanes)
+            self.lanes.append(spec)
+        self.keys[key] = lane
+        return lane
+
+    def add(self, slot: int, case: AttackCase, cast: list[int],
+            total: int) -> bool:
+        """Gather one case, unless its new lanes would overflow the
+        pass: then gather nothing and return False."""
+        cover = self._key(case.victim_prefix, Seed.origin(case.victim), case)
+        attack = self._key(case.attack_prefix, case.attacker_seeds[0], case)
+        new = sum(
+            spec is not None and key not in self.keys
+            for key, spec in (cover, attack)
+        )
+        if len(self.lanes) + new > _LANE_CAP:
+            return False
+        self.cases.append((
+            slot, cast, total, self._lane(*cover), self._lane(*attack),
+        ))
+        return True
+
+    def settle(self, results: list) -> None:
+        """Run the pass and write each gathered case's outcome into
+        ``results[slot]``; the batch is empty afterwards."""
+        lanes, width = self.lanes, self.width
+        reached = (
+            _lane_pass(self.workspace.compiled, lanes, width)
+            if lanes else []
+        )
+        field = (1 << width) - 1
+        adopters = sum(reached)
+
+        def count(lane: Optional[int]) -> int:
+            return 0 if lane is None else adopters >> lane * width & field
+
+        # |cover ∧ attack| per case, one summing pass per distinct lane
+        # distance: shifting by it lines each case's cover field up
+        # with its attack field, and the sum counts every field at once.
+        overlap = {}
+        for _, _, _, cover, attack in self.cases:
+            if cover is not None and attack is not None:
+                distance = attack - cover
+                if distance not in overlap:
+                    shifted = map(
+                        operator.lshift if distance > 0 else operator.rshift,
+                        reached, itertools.repeat(abs(distance) * width),
+                    )
+                    overlap[distance] = sum(
+                        map(operator.and_, reached, shifted)
+                    )
+
+        for slot, cast, total, cover, attack in self.cases:
+            attacker_count = count(attack)
+            filtered = attacker_count == 0
+            if cover is None:
+                victim_count = 0
+            elif attack is None:
+                victim_count = count(cover)
+            else:
+                victim_count = count(cover) - (
+                    overlap[attack - cover] >> attack * width & field
+                )
+            for i in cast:
+                if attack is not None and reached[i] >> attack * width & 1:
+                    attacker_count -= 1
+                elif cover is not None and reached[i] >> cover * width & 1:
+                    victim_count -= 1
+            results[slot] = _fractions(
+                total, attacker_count, victim_count, filtered
+            )
+
+        metrics = self.workspace.metrics
+        if metrics.enabled:
+            metrics.profile_hits.inc(self.hits)
+            metrics.profile_misses.inc(len(self.keys))
+            if lanes:
+                metrics.sweeps.inc()
+                metrics.lane_resets.inc()
+                metrics.touched_ases.inc(sum(
+                    count(lane) for lane in range(len(lanes))
+                ))
+        self.keys.clear()
+        lanes.clear()
+        self.cases.clear()
+        self.hits = 0
+
+
+# ----------------------------------------------------------------------
+# Attack evaluation entry points
+# ----------------------------------------------------------------------
+
+
+def _cast(
+    compiled: CompiledTopology, victim: int, attacker_seeds: Sequence[Seed]
+) -> tuple[list[int], int]:
+    """The victim's and attackers' indices (judged by neither side) and
+    the number of judged ASes."""
+    index_of = compiled.index_of
+    cast = [index_of[victim]] if victim in index_of else []
+    for asn in sorted(frozenset(seed.asn for seed in attacker_seeds)):
+        i = index_of.get(asn)
+        if i is not None and i not in cast:
+            cast.append(i)
+    total = len(compiled) - len(cast)
+    if total <= 0:
+        raise ReproError("topology too small to judge an attack")
+    return cast, total
+
+
+def _fractions(
+    total: int, attacker_count: int, victim_count: int, filtered: bool
+) -> tuple[tuple[float, float, float], bool]:
+    disconnected = total - attacker_count - victim_count
+    return (
+        (
+            attacker_count / total,
+            victim_count / total,
+            disconnected / total,
+        ),
+        filtered,
+    )
+
+
 def evaluate_attack_seeds_array(
     topology: Union[AsTopology, CompiledTopology],
     victim: int,
@@ -801,31 +1198,14 @@ def evaluate_attack_seeds_array(
     byte-identical either way.
     """
     if workspace is not None:
-        compiled = workspace.compiled
-        if compiled is not _compiled_of(topology):
-            raise ReproError(
-                "workspace was built for a different topology"
-            )
+        compiled = _workspace_compiled(workspace, topology)
         workspace.begin(validating_ases)
     else:
         compiled = _compiled_of(topology)
-    n = len(compiled)
-    index_of = compiled.index_of
-
-    attackers = frozenset(seed.asn for seed in attacker_seeds)
-    cast = [index_of[victim]] if victim in index_of else []
-    for asn in sorted(attackers):
-        i = index_of.get(asn)
-        if i is not None and i not in cast:
-            cast.append(i)
-    total = n - len(cast)
-    if total <= 0:
-        raise ReproError("topology too small to judge an attack")
-
+    cast, total = _cast(compiled, victim, attacker_seeds)
     victim_seed = Seed.origin(victim)
-    is_subprefix = attack_prefix != victim_prefix
 
-    if is_subprefix:
+    if attack_prefix != victim_prefix:
         cover_adopted, cover_total = _single_seed_outcome(
             compiled, victim_prefix, victim_seed,
             vrp_index, validating_ases, workspace,
@@ -891,15 +1271,16 @@ def evaluate_attack_seeds_array(
                 is ValidationState.INVALID
                 for seed in attacker_seeds
             )
-    disconnected = total - attacker_count - victim_count
-    return (
-        (
-            attacker_count / total,
-            victim_count / total,
-            disconnected / total,
-        ),
-        filtered,
-    )
+    return _fractions(total, attacker_count, victim_count, filtered)
+
+
+def _workspace_compiled(
+    workspace: PropagationWorkspace,
+    topology: Union[AsTopology, CompiledTopology],
+) -> CompiledTopology:
+    if workspace.compiled is not _compiled_of(topology):
+        raise ReproError("workspace was built for a different topology")
+    return workspace.compiled
 
 
 def evaluate_attack_seeds_array_batch(
@@ -908,27 +1289,48 @@ def evaluate_attack_seeds_array_batch(
     *,
     rng: Optional[random.Random] = None,
     workspace: Optional[PropagationWorkspace] = None,
+    rngs: Optional[Sequence[Optional[random.Random]]] = None,
 ) -> list[tuple[tuple[float, float, float], bool]]:
     """Evaluate a batch of attack cases with one shared workspace.
 
-    The batched entry point for grid trials: one call per trial, one
-    case per cell, all sharing ``rng`` (the trial's tie-break stream,
-    consumed case by case in order — exactly as per-call evaluation
-    would).  The workspace amortizes the validation bitmask and the
-    single-seed propagation profiles across the batch; a missing
-    workspace gets a transient one, which still amortizes within the
-    batch.
+    The batched entry point for grid trials: one call per chunk of
+    trials, one case per (trial, cell).  Case ``k`` draws from
+    ``rngs[k]`` (its trial's tie-break stream) or, without ``rngs``,
+    every case from ``rng``.  Multi-seed cases run the drawing sweep
+    in case order; single-seed subprefix cases (one attacker under the
+    victim's covering route) draw nothing, so they wait and share lane
+    passes of at most ``_LANE_CAP`` lanes (see the module docstring).
+    Results and RNG consumption equal per-call
+    :func:`evaluate_attack_seeds_array` in case order.  A missing
+    workspace gets a transient one.
     """
     if workspace is None:
         workspace = PropagationWorkspace(topology)
-    return [
-        evaluate_attack_seeds_array(
-            topology, case.victim, case.victim_prefix, case.attack_prefix,
-            case.attacker_seeds,
-            vrp_index=case.vrp_index,
-            validating_ases=case.validating_ases,
-            rng=rng,
-            workspace=workspace,
+    compiled = _workspace_compiled(workspace, topology)
+    if rngs is None:
+        rngs = [rng] * len(cases)
+    elif len(rngs) != len(cases):
+        raise ReproError(
+            f"{len(rngs)} tie-break streams for {len(cases)} cases"
         )
-        for case in cases
-    ]
+    results: list = [None] * len(cases)
+    batch = _LaneBatch(workspace)
+    for slot, (case, case_rng) in enumerate(zip(cases, rngs)):
+        seeds = case.attacker_seeds
+        if case.attack_prefix == case.victim_prefix or len(seeds) != 1:
+            results[slot] = evaluate_attack_seeds_array(
+                compiled, case.victim, case.victim_prefix,
+                case.attack_prefix, seeds,
+                vrp_index=case.vrp_index,
+                validating_ases=case.validating_ases,
+                rng=case_rng,
+                workspace=workspace,
+            )
+            continue
+        workspace.begin(case.validating_ases)
+        cast, total = _cast(compiled, case.victim, seeds)
+        if not batch.add(slot, case, cast, total):
+            batch.settle(results)
+            batch.add(slot, case, cast, total)
+    batch.settle(results)
+    return results

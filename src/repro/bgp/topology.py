@@ -266,6 +266,7 @@ class CompiledTopology:
         "provider_rows",
         "customer_rows",
         "peer_rows",
+        "__weakref__",
     )
 
     def __init__(

@@ -91,6 +91,13 @@ def _bootstrap_ci(
     n = len(values)
     if n == 1:
         return values[0], values[0]
+    first = values[0]
+    if all(value == first for value in values):
+        # Every resample sums the same n values left to right, so each
+        # resampled mean is this one; ``rng`` serves this call alone,
+        # so skipping its draws shifts no other stream.
+        mean = sum(values) / n
+        return mean, mean
     means = sorted(
         sum(rng.choices(values, k=n)) / n for _ in range(resamples)
     )

@@ -14,15 +14,21 @@ that rule, so they stay byte-identical.
 All cells — the four historical single-attacker variants and the
 scenario space the old loops could not express (multiple simultaneous
 attackers, AS-path-prepended announcements) — evaluate through one
-shared core, :func:`repro.bgp.attacks.evaluate_attack_seeds`; this
-module only builds the attacker seed lists.
+shared core, :func:`repro.bgp.attacks.evaluate_attack_seeds`, or, for
+the array engine's trial streams, its batched form
+:func:`repro.bgp.fastprop.evaluate_attack_seeds_array_batch` over a
+chunk of trials; this module only builds the attacker seed lists and
+the chunks.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bgp.attacks import evaluate_attack_seeds
@@ -43,6 +49,11 @@ __all__ = [
     "evaluate_trial",
     "evaluate_trials",
 ]
+
+#: Trials the array engine evaluates per batch call.  The granularity
+#: grid needs two non-empty lanes per trial, so a chunk fills about one
+#: lane pass (``fastprop._LANE_CAP``).
+_CHUNK = 32
 
 #: Version of the TrialRecord wire schema.  Bump it when the field
 #: list below changes; readers reject records from other versions
@@ -66,6 +77,8 @@ _RECORD_FIELDS = (
     "disconnected_fraction",
     "attack_route_filtered",
 )
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,46 @@ class TrialRecord:
                 value = list(value)
             data[name] = value
         return data
+
+    def to_json_line(self) -> bytes:
+        """This record as one canonical JSONL line: the JSON of
+        :meth:`to_json_dict` with sorted keys and compact separators,
+        plus a newline — byte for byte what a sink writes.
+
+        The hot path formats the fixed field set directly, numbers
+        through ``repr``: for every value :meth:`from_json_dict`
+        accepts, that is the JSON text, except a NaN or an infinity,
+        which takes the generic encoder.
+        """
+        a = self.attacker_fraction
+        v = self.victim_fraction
+        d = self.disconnected_fraction
+        fraction = self.fraction
+        if (
+            -_INF < a < _INF and -_INF < v < _INF and -_INF < d < _INF
+            and (fraction is None or -_INF < fraction < _INF)
+        ):
+            return (
+                f'{{"attack_route_filtered":'
+                f'{"true" if self.attack_route_filtered else "false"},'
+                f'"attacker_fraction":{a!r},'
+                f'"attackers":[{",".join(map(repr, self.attackers))}],'
+                f'"cell":{encode_basestring_ascii(self.cell)},'
+                f'"cell_index":{self.cell_index!r},'
+                f'"disconnected_fraction":{d!r},'
+                f'"fraction":'
+                f'{"null" if fraction is None else repr(fraction)},'
+                f'"fraction_index":{self.fraction_index!r},'
+                f'"schema":{RECORD_SCHEMA},'
+                f'"trial_index":{self.trial_index!r},'
+                f'"victim":{self.victim!r},'
+                f'"victim_fraction":{v!r}}}\n'
+            ).encode()
+        return (
+            json.dumps(
+                self.to_json_dict(), sort_keys=True, separators=(",", ":")
+            ) + "\n"
+        ).encode()
 
     @classmethod
     def from_json_dict(cls, data: object) -> "TrialRecord":
@@ -209,13 +262,28 @@ def evaluate_trial(
     or without it (a tested invariant), so it is purely a throughput
     knob.  The object engine ignores it.
     """
+    if spec.engine == "array" and workspace is not None:
+        return _evaluate_chunk(topology, spec, [trial], workspace)[0]
     tie_rng = random.Random(trial.tie_seed)
+    prepared = _prepare(spec, trial)
+    outcomes = [
+        evaluate_attack_seeds(
+            topology, trial.victim, spec.victim_prefix, attack_prefix,
+            list(seeds),
+            vrp_index=vrp_index,
+            validating_ases=trial.validating_ases,
+            rng=tie_rng,
+            engine=spec.engine,
+        )
+        for _, attack_prefix, vrp_index, seeds in prepared
+    ]
+    return _records(spec, trial, prepared, outcomes)
+
+
+def _prepare(spec: ExperimentSpec, trial: TrialSpec) -> list[tuple]:
+    """Per cell: (attackers, attack prefix, VRP index, attacker seeds)."""
     victim_prefix = spec.victim_prefix
     subprefix = spec.effective_attack_prefix
-    fraction = spec.fractions[trial.fraction_index]
-    if spec.engine != "array":
-        workspace = None
-
     prepared = []
     for cell in spec.cells:
         attack = cell.attack
@@ -229,37 +297,16 @@ def evaluate_trial(
             for attacker in attackers
         )
         prepared.append((attackers, attack_prefix, vrp_index, seeds))
+    return prepared
 
-    if workspace is not None:
-        # The array engine's batched entry: one call per trial, one
-        # case per cell, tie_rng consumed case by case in cell order —
-        # byte-identical to the per-cell path below.
-        outcomes = evaluate_attack_seeds_array_batch(
-            topology,
-            [
-                AttackCase(
-                    trial.victim, victim_prefix, attack_prefix, seeds,
-                    vrp_index=vrp_index,
-                    validating_ases=trial.validating_ases,
-                )
-                for _, attack_prefix, vrp_index, seeds in prepared
-            ],
-            rng=tie_rng,
-            workspace=workspace,
-        )
-    else:
-        outcomes = [
-            evaluate_attack_seeds(
-                topology, trial.victim, victim_prefix, attack_prefix,
-                list(seeds),
-                vrp_index=vrp_index,
-                validating_ases=trial.validating_ases,
-                rng=tie_rng,
-                engine=spec.engine,
-            )
-            for _, attack_prefix, vrp_index, seeds in prepared
-        ]
 
+def _records(
+    spec: ExperimentSpec,
+    trial: TrialSpec,
+    prepared: list[tuple],
+    outcomes: list[tuple[tuple[float, float, float], bool]],
+) -> list[TrialRecord]:
+    fraction = spec.fractions[trial.fraction_index]
     return [
         TrialRecord(
             fraction_index=trial.fraction_index,
@@ -279,6 +326,42 @@ def evaluate_trial(
     ]
 
 
+def _evaluate_chunk(
+    topology: Union[AsTopology, CompiledTopology],
+    spec: ExperimentSpec,
+    trials: list[TrialSpec],
+    workspace: PropagationWorkspace,
+) -> list[list[TrialRecord]]:
+    """The array engine's records for a chunk of trials, trial by trial.
+
+    One batch call for the whole chunk, one case per (trial, cell):
+    each trial's multi-seed cells draw from its own ``tie_rng`` in cell
+    order, and every single-seed cell of the chunk shares the lane
+    passes — byte-identical to evaluating the trials one by one.
+    """
+    victim_prefix = spec.victim_prefix
+    prepared = [_prepare(spec, trial) for trial in trials]
+    cases = []
+    rngs = []
+    for trial, cells in zip(trials, prepared):
+        tie_rng = random.Random(trial.tie_seed)
+        for _, attack_prefix, vrp_index, seeds in cells:
+            cases.append(AttackCase(
+                trial.victim, victim_prefix, attack_prefix, seeds,
+                vrp_index=vrp_index,
+                validating_ases=trial.validating_ases,
+            ))
+            rngs.append(tie_rng)
+    outcomes = evaluate_attack_seeds_array_batch(
+        topology, cases, rngs=rngs, workspace=workspace
+    )
+    width = len(spec.cells)
+    return [
+        _records(spec, trial, cells, outcomes[k * width:(k + 1) * width])
+        for k, (trial, cells) in enumerate(zip(trials, prepared))
+    ]
+
+
 def evaluate_trials(
     topology: Union[AsTopology, CompiledTopology],
     spec: ExperimentSpec,
@@ -289,20 +372,65 @@ def evaluate_trials(
 ) -> Iterator[TrialRecord]:
     """Evaluate a stream of trials with one shared workspace.
 
-    The batched evaluation path the executors use: the workspace (one
-    is created here for the array engine when none is passed) keeps
-    its state arrays and profile cache alive across the whole stream,
-    which is where the trials/sec win over per-trial allocation comes
-    from.  Record content is byte-identical to mapping
-    :func:`evaluate_trial` over the same trials.
+    The batched evaluation path every executor uses.  The array engine
+    (given a workspace, or one created here) pulls one trial, then
+    ``_CHUNK`` trials at a time, and evaluates each chunk with one
+    batch call, so the chunk's single-seed propagations share
+    bit-parallel lane passes; records still come out trial by trial,
+    in order.  Record content is byte-identical to mapping
+    :func:`evaluate_trial` over the same trials.  Pulling a chunk
+    ahead means early stopping may evaluate up to ``_CHUNK - 1``
+    trials past its stop; the stop tracker drops their records.
 
-    ``observe`` — called as ``observe(trial, seconds)`` after each
-    trial evaluates — is the runner's per-trial latency hook; it is
+    ``observe`` — called as ``observe(trial, seconds)`` for each trial
+    before its records are yielded — is the runner's per-trial latency
+    hook; a chunk's wall time is split evenly over its trials.  It is
     pure observation and must not mutate anything the trial reads.
     When it is ``None`` (telemetry off) no clocks are read at all.
     """
-    if workspace is None and spec.engine == "array":
+    if spec.engine != "array":
+        yield from _evaluate_each(topology, spec, trials, None, observe)
+        return
+    if workspace is None:
         workspace = PropagationWorkspace(topology)
+    clock = time.perf_counter
+    stream = iter(trials)
+    # The first chunk is one trial, so the first records stream out
+    # as soon as it is done and a consumer that stops early has paid
+    # for one trial, not a chunk.
+    size = 1
+    while True:
+        chunk = list(itertools.islice(stream, size))
+        if not chunk:
+            return
+        size = _CHUNK
+        start = clock() if observe is not None else 0.0
+        try:
+            blocks = _evaluate_chunk(topology, spec, chunk, workspace)
+        except ReproError:
+            # A trial that cannot be evaluated: go one by one, so the
+            # trials before it still yield their records and the error
+            # surfaces from that trial, as unchunked evaluation would.
+            yield from _evaluate_each(
+                topology, spec, chunk, workspace, observe
+            )
+            raise
+        if observe is not None:
+            share = (clock() - start) / len(chunk)
+            for trial in chunk:
+                observe(trial, share)
+        for block in blocks:
+            yield from block
+
+
+def _evaluate_each(
+    topology: Union[AsTopology, CompiledTopology],
+    spec: ExperimentSpec,
+    trials: Iterable[TrialSpec],
+    workspace: Optional[PropagationWorkspace],
+    observe: Optional[Callable[[TrialSpec, float], None]],
+) -> Iterator[TrialRecord]:
+    """:func:`evaluate_trial` over ``trials``, one at a time."""
     if observe is None:
         for trial in trials:
             yield from evaluate_trial(

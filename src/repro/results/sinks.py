@@ -7,10 +7,11 @@ trial counts.  Implementations here:
 * :class:`MemorySink` — records in a list (tests, small runs).
 * :class:`JsonlSink` — the durable form: an append-only file of JSON
   lines, one versioned record per line, with a header line carrying
-  the spec hash, seed, and engine.  Every write is flushed, so a
-  killed run loses at most the line being written — and the scanner
-  recovers from exactly that, dropping a truncated or corrupt *tail*
-  line while refusing silently-corrupt interiors.
+  the spec hash, seed, and engine.  Each trial's block of records is
+  flushed once its last cell is written, so a killed run loses at
+  most the trial in progress (which resume re-evaluates whole) — and
+  the scanner recovers from a torn write, dropping a truncated or
+  corrupt *tail* line while refusing silently-corrupt interiors.
 * :class:`TeeSink` — fan out one record stream to several sinks
   (e.g. a durable file *and* a live serve-tier publisher).
 
@@ -346,8 +347,12 @@ class JsonlSink(ResultSink):
     file it verifies the header's spec hash, truncates a partial tail
     line left by a crash, and positions for append — so
     ``JsonlSink(path)`` is both "start a run" and "continue one".
-    Every ``write`` is flushed to the OS; pass ``fsync=True`` to also
-    force each line to stable storage (slower, stronger).
+    Writes are flushed to the OS a trial block at a time: when a
+    record of the run's last cell arrives, and on ``finish``/``close``.
+    Records of one trial arrive together on every executor, so a crash
+    loses at most the trial in progress, which resume re-evaluates
+    whole.  Pass ``fsync=True`` to also force each block to stable
+    storage (slower, stronger).
 
     IO failures degrade fail-safe: a write that raises ``OSError``
     (or an injected ``results.sink.write`` fault) marks the sink
@@ -370,12 +375,18 @@ class JsonlSink(ResultSink):
         self.dirty = False
         self._fh = None
         self._header: Optional[RunHeader] = None
+        #: The cell index that closes a trial block (flush point).
+        self._last_cell: Optional[int] = None
+        #: Records and bytes written since the last flush.
+        self._pending = 0
+        self._pending_bytes = 0
+        self._path_text = str(self.path)
         self._scanned: Optional[
             Tuple[Optional[RunHeader], List["TrialRecord"], int]
         ] = None
         # Sink telemetry under the ``results.`` namespace: how many
-        # records and bytes went to disk, and what each flushed write
-        # cost (fsync shows up here immediately).
+        # records and bytes went to disk, and what each record's share
+        # of its block flush cost (fsync shows up here immediately).
         view = (
             registry if registry is not None else get_registry()
         ).view("results")
@@ -432,6 +443,7 @@ class JsonlSink(ResultSink):
             self._fh.seek(data_end)
             self._fh.truncate()
         self._header = header
+        self._last_cell = len(header.spec.get("cells", ())) - 1
         self._flush()
         self._scanned = None  # the file is live now; scans would lie
 
@@ -445,24 +457,39 @@ class JsonlSink(ResultSink):
             raise ReproError(
                 f"sink {self.path} received a record before begin()"
             )
-        line = _encode_line(record.to_json_dict())
-        if not self._metrics_enabled:
-            self._write_line(line)
-            return
-        start = time.perf_counter()
-        self._write_line(line)
-        self._flush_latency.observe(time.perf_counter() - start)
-        self._records_written.inc()
-        self._bytes_written.inc(len(line))
-
-    def _write_line(self, line: bytes) -> None:
+        line = record.to_json_line()
         try:
-            fire("results.sink.write", path=str(self.path))
+            fire("results.sink.write", path=self._path_text)
             self._fh.write(line)
-            self._flush()
         except OSError as exc:
             self._degrade()
             raise SinkWriteError(self.path, exc) from exc
+        self._pending += 1
+        self._pending_bytes += len(line)
+        if record.cell_index == self._last_cell:
+            self._flush_block()
+
+    def _flush_block(self) -> None:
+        """Flush the pending records; count them, and spread the
+        flush's latency over them."""
+        if not self._pending:
+            return
+        try:
+            if self._metrics_enabled:
+                start = time.perf_counter()
+                self._flush()
+                self._flush_latency.observe_many(
+                    (time.perf_counter() - start) / self._pending,
+                    self._pending,
+                )
+                self._records_written.inc(self._pending)
+                self._bytes_written.inc(self._pending_bytes)
+            else:
+                self._flush()
+        except OSError as exc:
+            self._degrade()
+            raise SinkWriteError(self.path, exc) from exc
+        self._pending = self._pending_bytes = 0
 
     def _degrade(self) -> None:
         """Fail-safe after an IO error: mark dirty, release the handle.
@@ -483,10 +510,12 @@ class JsonlSink(ResultSink):
 
     def finish(self, trial_counts: Sequence[int]) -> None:
         if self._fh is not None:
+            self._flush_block()
             self._flush(force=True)
 
     def close(self) -> None:
         if self._fh is not None:
+            self._flush_block()
             self._fh.close()
             self._fh = None
         self._scanned = None

@@ -163,7 +163,7 @@ def merge_runs(
     with open(out_path, "wb") as fh:
         fh.write(_encode_line(header.to_json_dict()))
         for record in merged:
-            fh.write(_encode_line(record.to_json_dict()))
+            fh.write(record.to_json_line())
     return header, len(merged)
 
 

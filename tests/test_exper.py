@@ -425,6 +425,32 @@ class TestAggregation:
         with pytest.raises(ReproError, match="no fraction"):
             result.cell("forged-origin-subprefix/minimal", 0.3)
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 1e-17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 200])
+    def test_constant_cell_ci_equals_resampling(self, value, n):
+        """A constant cell skips resampling; the bounds stay the ones
+        the resampling path computes, to the bit."""
+        from repro.exper.aggregate import _bootstrap_ci
+
+        def resampled(values, rng, resamples, confidence):
+            if len(values) == 1:
+                return values[0], values[0]
+            means = sorted(
+                sum(rng.choices(values, k=len(values))) / len(values)
+                for _ in range(resamples)
+            )
+            tail = (1.0 - confidence) / 2.0
+            return (
+                means[min(int(tail * resamples), resamples - 1)],
+                means[max(int((1.0 - tail) * resamples) - 1, 0)],
+            )
+
+        values = (value,) * n
+        for resamples in (1, 250, 1000):
+            expected = resampled(values, random.Random(5), resamples, 0.95)
+            got = _bootstrap_ci(values, random.Random(5), resamples, 0.95)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
     def test_render_mentions_every_cell(self, engine_topology):
         result = ExperimentRunner(
             engine_topology, two_cell_spec(trials=2, fractions=(0.0, 1.0))

@@ -24,6 +24,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import TopologyProfile, generate_topology
 from repro.exper import (
@@ -102,7 +104,38 @@ def sample_record(**overrides) -> TrialRecord:
     return TrialRecord(**data)
 
 
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+)
+
+
 class TestRecordWireSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            TrialRecord,
+            fraction_index=st.integers(0, 2**40),
+            trial_index=st.integers(0, 2**40),
+            cell_index=st.integers(0, 2**40),
+            fraction=st.one_of(st.none(), _numbers),
+            cell=st.text(),
+            victim=st.integers(-(2**64), 2**64),
+            attackers=st.lists(st.integers(0, 2**32)).map(tuple),
+            attacker_fraction=_numbers,
+            victim_fraction=_numbers,
+            disconnected_fraction=_numbers,
+            attack_route_filtered=st.booleans(),
+        )
+    )
+    def test_line_equals_canonical_dict_encoding(self, record):
+        """The sink's formatted line is the canonical JSON of the wire
+        dict, byte for byte — NaN, infinities and non-ASCII cells
+        included."""
+        from repro.results.sinks import _encode_line
+
+        assert record.to_json_line() == _encode_line(record.to_json_dict())
+
     def test_round_trip(self):
         record = sample_record()
         wire = record.to_json_dict()
@@ -199,6 +232,32 @@ class TestJsonlDurability:
         assert len(lines) == 1 + len(records)
         # Sorted, deduplicated, fully typed records.
         assert records == sorted(records, key=lambda r: r.sort_key)
+
+    def test_trial_blocks_flush_at_their_last_cell(self, tmp_path):
+        spec = small_spec(cells=(
+            ScenarioCell("forged-origin-subprefix", MinimalRoa()),
+            ScenarioCell("forged-origin-subprefix", MaxLengthLooseRoa()),
+            ScenarioCell("subprefix-hijack", MinimalRoa()),
+        ))
+        path = tmp_path / "run.jsonl"
+        sink = JsonlSink(path)
+        sink.begin(RunHeader(
+            spec_hash=spec.spec_hash(), seed=spec.seed,
+            engine=spec.engine, spec=spec.to_json_dict(),
+        ))
+
+        def on_disk() -> int:
+            return path.read_bytes().count(b"\n") - 1
+
+        for cell in range(2):
+            sink.write(sample_record(trial_index=0, cell_index=cell))
+            assert on_disk() == 0
+        sink.write(sample_record(trial_index=0, cell_index=2))
+        assert on_disk() == 3
+        sink.write(sample_record(trial_index=1, cell_index=0))
+        assert on_disk() == 3
+        sink.close()  # close flushes an unfinished block too
+        assert on_disk() == 4
 
     def test_truncated_tail_recovered(self, topology, tmp_path):
         path = tmp_path / "run.jsonl"
