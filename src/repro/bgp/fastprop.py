@@ -675,6 +675,17 @@ class AttackCase:
             self, "attacker_seeds", tuple(self.attacker_seeds)
         )
 
+    @property
+    def draws(self) -> bool:
+        """Does evaluating this case spend tie-breaks?  Only when it
+        runs a multi-seed propagation: a same-prefix attack (victim
+        and attackers compete) or several subprefix attackers.  A lone
+        subprefix attacker's case is two single-seed propagations."""
+        return (
+            self.attack_prefix == self.victim_prefix
+            or len(self.attacker_seeds) != 1
+        )
+
 
 @contextlib.contextmanager
 def _lane_propagation(
@@ -1289,17 +1300,13 @@ def evaluate_attack_seeds_array_batch(
     *,
     rng: Optional[random.Random] = None,
     workspace: Optional[PropagationWorkspace] = None,
-    rngs: Optional[Sequence[Optional[random.Random]]] = None,
 ) -> list[tuple[tuple[float, float, float], bool]]:
     """Evaluate a batch of attack cases with one shared workspace.
 
-    The batched entry point for grid trials: one call per chunk of
-    trials, one case per (trial, cell).  Case ``k`` draws from
-    ``rngs[k]`` (its trial's tie-break stream) or, without ``rngs``,
-    every case from ``rng``.  Multi-seed cases run the drawing sweep
-    in case order; single-seed subprefix cases (one attacker under the
-    victim's covering route) draw nothing, so they wait and share lane
-    passes of at most ``_LANE_CAP`` lanes (see the module docstring).
+    Cases that draw (see :attr:`AttackCase.draws`) run the drawing
+    sweep in case order, sharing ``rng``; the others draw nothing, so
+    they wait and share lane passes of at most ``_LANE_CAP`` lanes
+    (see the module docstring) — however many trials they come from.
     Results and RNG consumption equal per-call
     :func:`evaluate_attack_seeds_array` in case order.  A missing
     workspace gets a transient one.
@@ -1307,28 +1314,21 @@ def evaluate_attack_seeds_array_batch(
     if workspace is None:
         workspace = PropagationWorkspace(topology)
     compiled = _workspace_compiled(workspace, topology)
-    if rngs is None:
-        rngs = [rng] * len(cases)
-    elif len(rngs) != len(cases):
-        raise ReproError(
-            f"{len(rngs)} tie-break streams for {len(cases)} cases"
-        )
     results: list = [None] * len(cases)
     batch = _LaneBatch(workspace)
-    for slot, (case, case_rng) in enumerate(zip(cases, rngs)):
-        seeds = case.attacker_seeds
-        if case.attack_prefix == case.victim_prefix or len(seeds) != 1:
+    for slot, case in enumerate(cases):
+        if case.draws:
             results[slot] = evaluate_attack_seeds_array(
                 compiled, case.victim, case.victim_prefix,
-                case.attack_prefix, seeds,
+                case.attack_prefix, case.attacker_seeds,
                 vrp_index=case.vrp_index,
                 validating_ases=case.validating_ases,
-                rng=case_rng,
+                rng=rng,
                 workspace=workspace,
             )
             continue
         workspace.begin(case.validating_ases)
-        cast, total = _cast(compiled, case.victim, seeds)
+        cast, total = _cast(compiled, case.victim, case.attacker_seeds)
         if not batch.add(slot, case, cast, total):
             batch.settle(results)
             batch.add(slot, case, cast, total)

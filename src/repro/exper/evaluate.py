@@ -50,7 +50,7 @@ __all__ = [
     "evaluate_trials",
 ]
 
-#: Trials the array engine evaluates per batch call.  The granularity
+#: Trials whose draw-free cells share one batch call.  The granularity
 #: grid needs two non-empty lanes per trial, so a chunk fills about one
 #: lane pass (``fastprop._LANE_CAP``).
 _CHUNK = 32
@@ -263,7 +263,11 @@ def evaluate_trial(
     knob.  The object engine ignores it.
     """
     if spec.engine == "array" and workspace is not None:
-        return _evaluate_chunk(topology, spec, [trial], workspace)[0]
+        chunk = _chunk_cases(spec, [trial])
+        lane_outcomes = _lane_outcomes(topology, chunk, workspace)
+        return _trial_records(
+            topology, spec, *chunk[0], lane_outcomes, workspace
+        )
     tie_rng = random.Random(trial.tie_seed)
     prepared = _prepare(spec, trial)
     outcomes = [
@@ -326,40 +330,60 @@ def _records(
     ]
 
 
-def _evaluate_chunk(
-    topology: Union[AsTopology, CompiledTopology],
-    spec: ExperimentSpec,
-    trials: list[TrialSpec],
-    workspace: PropagationWorkspace,
-) -> list[list[TrialRecord]]:
-    """The array engine's records for a chunk of trials, trial by trial.
-
-    One batch call for the whole chunk, one case per (trial, cell):
-    each trial's multi-seed cells draw from its own ``tie_rng`` in cell
-    order, and every single-seed cell of the chunk shares the lane
-    passes — byte-identical to evaluating the trials one by one.
-    """
+def _chunk_cases(
+    spec: ExperimentSpec, trials: list[TrialSpec]
+) -> list[tuple[TrialSpec, list[tuple], list[AttackCase]]]:
+    """Per trial: (trial, prepared cells, one attack case per cell)."""
     victim_prefix = spec.victim_prefix
-    prepared = [_prepare(spec, trial) for trial in trials]
-    cases = []
-    rngs = []
-    for trial, cells in zip(trials, prepared):
-        tie_rng = random.Random(trial.tie_seed)
-        for _, attack_prefix, vrp_index, seeds in cells:
-            cases.append(AttackCase(
+    chunk = []
+    for trial in trials:
+        cells = _prepare(spec, trial)
+        chunk.append((trial, cells, [
+            AttackCase(
                 trial.victim, victim_prefix, attack_prefix, seeds,
                 vrp_index=vrp_index,
                 validating_ases=trial.validating_ases,
-            ))
-            rngs.append(tie_rng)
-    outcomes = evaluate_attack_seeds_array_batch(
-        topology, cases, rngs=rngs, workspace=workspace
-    )
-    width = len(spec.cells)
-    return [
-        _records(spec, trial, cells, outcomes[k * width:(k + 1) * width])
-        for k, (trial, cells) in enumerate(zip(trials, prepared))
-    ]
+            )
+            for _, attack_prefix, vrp_index, seeds in cells
+        ]))
+    return chunk
+
+
+def _lane_outcomes(
+    topology: Union[AsTopology, CompiledTopology],
+    chunk: list[tuple[TrialSpec, list[tuple], list[AttackCase]]],
+    workspace: PropagationWorkspace,
+) -> Iterator[tuple[tuple[float, float, float], bool]]:
+    """The outcomes of every draw-free case of the chunk, in order:
+    one batch call, so they share lane passes across trials."""
+    free = [case for _, _, cases in chunk for case in cases if not case.draws]
+    return iter(evaluate_attack_seeds_array_batch(
+        topology, free, workspace=workspace
+    ) if free else ())
+
+
+def _trial_records(
+    topology: Union[AsTopology, CompiledTopology],
+    spec: ExperimentSpec,
+    trial: TrialSpec,
+    cells: list[tuple],
+    cases: list[AttackCase],
+    lane_outcomes: Iterator[tuple[tuple[float, float, float], bool]],
+    workspace: PropagationWorkspace,
+) -> list[TrialRecord]:
+    """One trial's records: its drawing cases on its own tie-break
+    stream, in cell order, merged with its share of the lane
+    outcomes."""
+    drawing = [case for case in cases if case.draws]
+    drawn = iter(evaluate_attack_seeds_array_batch(
+        topology, drawing,
+        rng=random.Random(trial.tie_seed),
+        workspace=workspace,
+    ) if drawing else ())
+    return _records(spec, trial, cells, [
+        next(drawn) if case.draws else next(lane_outcomes)
+        for case in cases
+    ])
 
 
 def evaluate_trials(
@@ -374,17 +398,19 @@ def evaluate_trials(
 
     The batched evaluation path every executor uses.  The array engine
     (given a workspace, or one created here) pulls one trial, then
-    ``_CHUNK`` trials at a time, and evaluates each chunk with one
-    batch call, so the chunk's single-seed propagations share
-    bit-parallel lane passes; records still come out trial by trial,
-    in order.  Record content is byte-identical to mapping
+    ``_CHUNK`` trials at a time.  One batch call evaluates every cell
+    of the chunk that draws nothing, so those share bit-parallel lane
+    passes; then each trial's drawing cells run on its own tie-break
+    stream and its records go out, trial by trial, in order.  Record
+    content is byte-identical to mapping
     :func:`evaluate_trial` over the same trials.  Pulling a chunk
     ahead means early stopping may evaluate up to ``_CHUNK - 1``
     trials past its stop; the stop tracker drops their records.
 
     ``observe`` — called as ``observe(trial, seconds)`` for each trial
     before its records are yielded — is the runner's per-trial latency
-    hook; a chunk's wall time is split evenly over its trials.  It is
+    hook: a trial's own drawing cells plus an even share of its
+    chunk's lane pass.  It is
     pure observation and must not mutate anything the trial reads.
     When it is ``None`` (telemetry off) no clocks are read at all.
     """
@@ -406,7 +432,8 @@ def evaluate_trials(
         size = _CHUNK
         start = clock() if observe is not None else 0.0
         try:
-            blocks = _evaluate_chunk(topology, spec, chunk, workspace)
+            cases = _chunk_cases(spec, chunk)
+            lane_outcomes = _lane_outcomes(topology, cases, workspace)
         except ReproError:
             # A trial that cannot be evaluated: go one by one, so the
             # trials before it still yield their records and the error
@@ -417,10 +444,19 @@ def evaluate_trials(
             raise
         if observe is not None:
             share = (clock() - start) / len(chunk)
-            for trial in chunk:
-                observe(trial, share)
-        for block in blocks:
-            yield from block
+        # Each trial's drawing cells run after the shared lane pass, so
+        # its records go out as soon as they are done, and a drawing
+        # cell that fails does so in trial order.
+        for trial, cells, trial_cases in cases:
+            if observe is not None:
+                start = clock()
+            records = _trial_records(
+                topology, spec, trial, cells, trial_cases,
+                lane_outcomes, workspace,
+            )
+            if observe is not None:
+                observe(trial, share + clock() - start)
+            yield from records
 
 
 def _evaluate_each(

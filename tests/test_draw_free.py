@@ -296,18 +296,36 @@ class TestLanePass:
             assert counts >> shift & ((1 << width) - 1) == count
 
 
+    def test_customer_provider_cycle(self):
+        """A provider cycle needs more than one visit per AS: every
+        origin around it still reaches what _reach reaches."""
+        ring = [100, 101, 102, 103, 104]
+        edges = [
+            (a, b, "c2p") for a, b in zip(ring, ring[1:] + ring[:1])
+        ] + [(105, 102, "c2p"), (106, 100, "p2p")]
+        compiled = AsTopology.from_edges(edges).compiled()
+        n = len(compiled)
+        width = n.bit_length()
+        seeds = [Seed.origin(asn) for asn in sorted(compiled.asns)]
+        lanes = [(compiled.index_of[s.asn], s.path, None) for s in seeds]
+        reached = _lane_pass(compiled, lanes, width)
+        for j, seed in enumerate(seeds):
+            adopted, touched = bytearray(n), []
+            _reach(compiled, seed, None, adopted, touched)
+            assert bytes(v >> j * width & 1 for v in reached) == adopted
+
+
 def _batch_cases(draw, topology):
     """Attack cases over several trials: per trial a victim, an
-    attacker pool, a validator set and a tie-break seed."""
+    attacker pool and a validator set."""
     ases = sorted(topology.ases)
     vrp_choices = st.sampled_from(["none", "minimal", "loose", "origin"])
-    cases, tie_seeds = [], []
+    cases = []
     for _ in range(draw(st.integers(1, 4))):
         victim = draw(st.sampled_from(ases))
         validators = draw(st.one_of(
             st.none(), st.frozensets(st.sampled_from(ases)),
         ))
-        tie_seed = draw(st.integers(0, 2**32))
         for _ in range(draw(st.integers(1, 4))):
             attackers = draw(st.lists(
                 st.sampled_from(ases), min_size=1, max_size=2, unique=True,
@@ -329,13 +347,12 @@ def _batch_cases(draw, topology):
                 vrp_index=None if vrps is None else VrpIndex(vrps),
                 validating_ases=validators,
             ))
-            tie_seeds.append(tie_seed)
-    return cases, tie_seeds
+    return cases
 
 
-def _per_call(topology, cases, rngs):
+def _per_call(topology, cases, rng=None):
     outcomes = []
-    for case, rng in zip(cases, rngs):
+    for case in cases:
         try:
             outcomes.append(evaluate_attack_seeds_array(
                 topology, case.victim, case.victim_prefix,
@@ -348,41 +365,24 @@ def _per_call(topology, cases, rngs):
     return outcomes, None
 
 
-def _streams(tie_seeds):
-    """One Random per distinct trial seed, shared by its cases."""
-    by_seed: dict = {}
-    return [
-        by_seed.setdefault(seed, random.Random(seed)) for seed in tie_seeds
-    ]
-
-
 class TestBatchEntryPoint:
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_batch_equals_per_call_on_random_graphs(self, data):
+    @given(st.data(), st.integers(0, 2**32))
+    def test_batch_equals_per_call_on_random_graphs(self, data, rng_seed):
         topology = data.draw(random_graphs())
-        cases, tie_seeds = _batch_cases(data.draw, topology)
-        expected, error = _per_call(topology, cases, _streams(tie_seeds))
-        batch_rngs = _streams(tie_seeds)
+        cases = _batch_cases(data.draw, topology)
+        reference = random.Random(rng_seed)
+        expected, error = _per_call(topology, cases, reference)
+        rng = random.Random(rng_seed)
         if error is not None:
-            try:
-                evaluate_attack_seeds_array_batch(
-                    topology, cases, rngs=batch_rngs
-                )
-            except Exception as exc:
-                assert type(exc) is type(error)
-                assert str(exc) == str(error)
-            else:
-                raise AssertionError(f"batch did not raise {error!r}")
+            with pytest.raises(type(error)) as caught:
+                evaluate_attack_seeds_array_batch(topology, cases, rng=rng)
+            assert str(caught.value) == str(error)
             return
         assert evaluate_attack_seeds_array_batch(
-            topology, cases, rngs=batch_rngs
+            topology, cases, rng=rng
         ) == expected
-        reference = _streams(tie_seeds)
-        _per_call(topology, cases, reference)
-        assert [r.getstate() for r in batch_rngs] == [
-            r.getstate() for r in reference
-        ]
+        assert rng.getstate() == reference.getstate()
 
     def test_seed_absent_from_topology(self):
         topology = _synthetic(40, 0)
@@ -412,7 +412,7 @@ class TestBatchEntryPoint:
             for victim in ases[:20]
         ]
         assert evaluate_attack_seeds_array_batch(topology, cases) == (
-            _per_call(topology, cases, [None] * len(cases))[0]
+            _per_call(topology, cases)[0]
         )
 
     def test_passes_split_at_the_lane_cap(self):
@@ -435,7 +435,7 @@ class TestBatchEntryPoint:
         batched = evaluate_attack_seeds_array_batch(
             topology, cases, workspace=workspace
         )
-        assert batched == _per_call(topology, cases, [None] * len(cases))[0]
+        assert batched == _per_call(topology, cases)[0]
         assert registry.snapshot()["fastprop.sweeps"] > 1
 
 
