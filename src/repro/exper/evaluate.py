@@ -402,17 +402,17 @@ def evaluate_trials(
     of the chunk that draws nothing, so those share bit-parallel lane
     passes; then each trial's drawing cells run on its own tie-break
     stream and its records go out, trial by trial, in order.  Record
-    content is byte-identical to mapping
-    :func:`evaluate_trial` over the same trials.  Pulling a chunk
-    ahead means early stopping may evaluate up to ``_CHUNK - 1``
-    trials past its stop; the stop tracker drops their records.
+    content is byte-identical to mapping :func:`evaluate_trial` over
+    the same trials.  Pulling a chunk ahead means early stopping may
+    evaluate up to ``_CHUNK - 1`` trials past its stop; the stop
+    tracker drops their records.
 
     ``observe`` — called as ``observe(trial, seconds)`` for each trial
     before its records are yielded — is the runner's per-trial latency
     hook: a trial's own drawing cells plus an even share of its
-    chunk's lane pass.  It is
-    pure observation and must not mutate anything the trial reads.
-    When it is ``None`` (telemetry off) no clocks are read at all.
+    chunk's lane pass.  It is pure observation and must not mutate
+    anything the trial reads.  When it is ``None`` (telemetry off) no
+    clocks are read at all.
     """
     if spec.engine != "array":
         yield from _evaluate_each(topology, spec, trials, None, observe)
