@@ -677,14 +677,28 @@ class AttackCase:
 
     @property
     def draws(self) -> bool:
-        """Does evaluating this case spend tie-breaks?  Only when it
-        runs a multi-seed propagation: a same-prefix attack (victim
-        and attackers compete) or several subprefix attackers.  A lone
-        subprefix attacker's case is two single-seed propagations."""
-        return (
-            self.attack_prefix == self.victim_prefix
-            or len(self.attacker_seeds) != 1
+        """Does evaluating this case spend tie-breaks?  See
+        :func:`_draws`."""
+        return _draws(
+            self.victim_prefix, self.attack_prefix, self.attacker_seeds
         )
+
+
+def _draws(
+    victim_prefix: Prefix,
+    attack_prefix: Prefix,
+    attacker_seeds: Sequence[Seed],
+) -> bool:
+    """Does an attack measurement spend tie-breaks?  Only when it runs
+    a multi-seed propagation: a same-prefix attack (victim and
+    attackers compete) or several subprefix attackers.  A lone
+    subprefix attacker's case is two single-seed propagations.
+
+    The one statement of the rule: :func:`evaluate_attack_seeds_array`
+    branches on it, and the batch entry point lanes exactly the cases
+    it clears, so batching cannot shift a tie-break stream.
+    """
+    return attack_prefix == victim_prefix or len(attacker_seeds) != 1
 
 
 @contextlib.contextmanager
@@ -1221,7 +1235,7 @@ def evaluate_attack_seeds_array(
             compiled, victim_prefix, victim_seed,
             vrp_index, validating_ases, workspace,
         )
-        if len(attacker_seeds) == 1:
+        if not _draws(victim_prefix, attack_prefix, attacker_seeds):
             attack_adopted, attack_total = _single_seed_outcome(
                 compiled, attack_prefix, attacker_seeds[0],
                 vrp_index, validating_ases, workspace,

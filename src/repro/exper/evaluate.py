@@ -80,6 +80,17 @@ _RECORD_FIELDS = (
 
 _INF = float("inf")
 
+#: ``to_json_line``'s encoded ``"cell":…,"cell_index":…`` segments,
+#: by (cell, cell index).  A run has a handful of cells; the cache is
+#: cleared if a long-lived process ever fills it.
+_CELL_SEGMENTS: dict[tuple[str, int], str] = {}
+
+#: ``to_json_line``'s last trial segment, ``"fraction":…`` through
+#: ``"victim":…``, keyed by (fraction, fraction index, trial index,
+#: victim).  A trial's records are encoded together, so one entry
+#: serves the whole block.
+_trial_segment: tuple = (object(), -1, -1, -1, "")
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -135,36 +146,66 @@ class TrialRecord:
         The hot path formats the fixed field set directly, numbers
         through ``repr``: for every value :meth:`from_json_dict`
         accepts, that is the JSON text, except a NaN or an infinity,
-        which takes the generic encoder.
+        which takes the generic encoder.  The cell's and the trial's
+        fields are formatted once and reused (see
+        :data:`_CELL_SEGMENTS`, :data:`_trial_segment`).
         """
+        global _trial_segment
         a = self.attacker_fraction
         v = self.victim_fraction
         d = self.disconnected_fraction
         fraction = self.fraction
-        if (
+        if not (
             -_INF < a < _INF and -_INF < v < _INF and -_INF < d < _INF
             and (fraction is None or -_INF < fraction < _INF)
         ):
             return (
-                f'{{"attack_route_filtered":'
-                f'{"true" if self.attack_route_filtered else "false"},'
-                f'"attacker_fraction":{a!r},'
-                f'"attackers":[{",".join(map(repr, self.attackers))}],'
+                json.dumps(
+                    self.to_json_dict(), sort_keys=True,
+                    separators=(",", ":"),
+                ) + "\n"
+            ).encode()
+        cell_key = (self.cell, self.cell_index)
+        cell_segment = _CELL_SEGMENTS.get(cell_key)
+        if cell_segment is None:
+            if len(_CELL_SEGMENTS) >= 4096:
+                _CELL_SEGMENTS.clear()
+            cell_segment = _CELL_SEGMENTS[cell_key] = (
                 f'"cell":{encode_basestring_ascii(self.cell)},'
-                f'"cell_index":{self.cell_index!r},'
-                f'"disconnected_fraction":{d!r},'
+                f'"cell_index":{self.cell_index!r}'
+            )
+        # One tuple read and one tuple write, so threads encoding
+        # records of different trials never see a torn entry.  The
+        # fraction is matched by identity: equal floats may differ in
+        # text (0.0 and -0.0), one object never does.
+        cached = _trial_segment
+        if (
+            cached[0] is not fraction
+            or cached[1] != self.fraction_index
+            or cached[2] != self.trial_index
+            or cached[3] != self.victim
+        ):
+            cached = _trial_segment = (
+                fraction, self.fraction_index, self.trial_index,
+                self.victim,
                 f'"fraction":'
                 f'{"null" if fraction is None else repr(fraction)},'
                 f'"fraction_index":{self.fraction_index!r},'
                 f'"schema":{RECORD_SCHEMA},'
                 f'"trial_index":{self.trial_index!r},'
-                f'"victim":{self.victim!r},'
-                f'"victim_fraction":{v!r}}}\n'
-            ).encode()
+                f'"victim":{self.victim!r}',
+            )
+        attackers = self.attackers
+        attackers_text = (
+            repr(attackers[0]) if len(attackers) == 1
+            else ",".join(map(repr, attackers))
+        )
         return (
-            json.dumps(
-                self.to_json_dict(), sort_keys=True, separators=(",", ":")
-            ) + "\n"
+            f'{{"attack_route_filtered":'
+            f'{"true" if self.attack_route_filtered else "false"},'
+            f'"attacker_fraction":{a!r},"attackers":[{attackers_text}],'
+            f'{cell_segment},"disconnected_fraction":{d!r},'
+            f'{cached[4]},"victim_fraction":{v!r}}}\n'
         ).encode()
 
     @classmethod
@@ -393,17 +434,21 @@ def evaluate_trials(
     *,
     workspace: Optional[PropagationWorkspace] = None,
     observe: Optional[Callable[[TrialSpec, float], None]] = None,
+    first_chunk: Optional[int] = None,
 ) -> Iterator[TrialRecord]:
     """Evaluate a stream of trials with one shared workspace.
 
     The batched evaluation path every executor uses.  The array engine
-    (given a workspace, or one created here) pulls one trial, then
-    ``_CHUNK`` trials at a time.  One batch call evaluates every cell
-    of the chunk that draws nothing, so those share bit-parallel lane
-    passes; then each trial's drawing cells run on its own tie-break
-    stream and its records go out, trial by trial, in order.  Record
-    content is byte-identical to mapping :func:`evaluate_trial` over
-    the same trials.  Pulling a chunk ahead means early stopping may
+    (given a workspace, or one created here) pulls ``first_chunk``
+    trials (default ``_CHUNK``), then ``_CHUNK`` at a time; a
+    streaming reader that wants its first record after one trial
+    passes ``first_chunk=1``, at the price of one more lane pass.  One
+    batch call evaluates every cell of the chunk that draws nothing,
+    so those share bit-parallel lane passes; then each trial's drawing
+    cells run on its own tie-break stream and its records go out,
+    trial by trial, in order.  Record content is byte-identical to
+    mapping :func:`evaluate_trial` over the same trials, whatever the
+    chunking.  Pulling a chunk ahead means early stopping may
     evaluate up to ``_CHUNK - 1`` trials past its stop; the stop
     tracker drops their records.
 
@@ -421,10 +466,7 @@ def evaluate_trials(
         workspace = PropagationWorkspace(topology)
     clock = time.perf_counter
     stream = iter(trials)
-    # The first chunk is one trial, so the first records stream out
-    # as soon as it is done and a consumer that stops early has paid
-    # for one trial, not a chunk.
-    size = 1
+    size = first_chunk or _CHUNK
     while True:
         chunk = list(itertools.islice(stream, size))
         if not chunk:

@@ -469,9 +469,13 @@ class ExperimentRunner:
         records of trials before each fraction's stop point.  With
         ``resume_from`` set, replayed records stream first; with
         ``sink`` set, every streamed record is persisted as it passes.
+        The serial executor pulls trials as it evaluates them: the
+        first record comes after one trial, not a chunk of them.
         """
         metrics = self._metrics()
-        return self._records(self._make_tracker(metrics), metrics)
+        return self._records(
+            self._make_tracker(metrics), metrics, first_chunk=1
+        )
 
     def _load_resume(
         self,
@@ -536,10 +540,13 @@ class ExperimentRunner:
         self,
         tracker: Optional["_StopTracker"],
         metrics: Optional[_RunnerMetrics] = None,
+        first_chunk: Optional[int] = None,
     ) -> Iterator[TrialRecord]:
         """One run's record stream; all per-run state (stop tracker,
         shared-memory handle) lives in this generator, so overlapping
-        or abandoned iterations cannot interfere with each other."""
+        or abandoned iterations cannot interfere with each other.
+        ``first_chunk`` sizes the serial executor's first chunk of
+        trials (see :func:`~repro.exper.evaluate.evaluate_trials`)."""
         if metrics is None:
             metrics = self._metrics()
         metrics.runs.inc()
@@ -575,7 +582,9 @@ class ExperimentRunner:
                 ),
             )
             if self.executor == "serial":
-                raw = self._iter_serial(trials, tracker, metrics)
+                raw = self._iter_serial(
+                    trials, tracker, metrics, first_chunk
+                )
             else:
                 raw = self._iter_process(trials, tracker, metrics)
 
@@ -585,6 +594,7 @@ class ExperimentRunner:
             records_released.inc()
             if sink is not None and (
                 rewrite_replay
+                or not finished
                 or (record.fraction_index, record.trial_index)
                 not in finished
             ):
@@ -619,6 +629,7 @@ class ExperimentRunner:
         trials: Iterator[TrialSpec],
         tracker: Optional[_StopTracker],
         metrics: _RunnerMetrics,
+        first_chunk: Optional[int],
     ) -> Iterator[TrialRecord]:
         # The trial generator already declines stopped trials via its
         # ``wants`` hook; the extra filter catches trials yielded just
@@ -632,6 +643,7 @@ class ExperimentRunner:
             # With the null registry the hook is omitted entirely, so
             # the telemetry-off path skips even the clock reads.
             observe=metrics.observe_trial if metrics.enabled else None,
+            first_chunk=first_chunk,
         )
 
     def _iter_process(

@@ -8,8 +8,8 @@ trial counts.  Implementations here:
 * :class:`JsonlSink` — the durable form: an append-only file of JSON
   lines, one versioned record per line, with a header line carrying
   the spec hash, seed, and engine.  Each trial's block of records is
-  flushed once its last cell is written, so a killed run loses at
-  most the trial in progress (which resume re-evaluates whole) — and
+  flushed once it is complete, so a killed run loses at most the
+  trial in progress (which resume re-evaluates whole) — and
   the scanner recovers from a torn write, dropping a truncated or
   corrupt *tail* line while refusing silently-corrupt interiors.
 * :class:`TeeSink` — fan out one record stream to several sinks
@@ -348,11 +348,13 @@ class JsonlSink(ResultSink):
     line left by a crash, and positions for append — so
     ``JsonlSink(path)`` is both "start a run" and "continue one".
     Writes are flushed to the OS a trial block at a time: when a
-    record of the run's last cell arrives, and on ``finish``/``close``.
-    Records of one trial arrive together on every executor, so a crash
-    loses at most the trial in progress, which resume re-evaluates
-    whole.  Pass ``fsync=True`` to also force each block to stable
-    storage (slower, stronger).
+    record of the run's last cell arrives, when a record of another
+    trial arrives first (cells written out of order), and on
+    ``finish``/``close``.  The buffer never holds more than one
+    trial's records, so a crash loses at most the trial in progress,
+    which resume re-evaluates whole.  Pass ``fsync=True`` to also
+    force each block, not each record, to stable storage (slower,
+    stronger).
 
     IO failures degrade fail-safe: a write that raises ``OSError``
     (or an injected ``results.sink.write`` fault) marks the sink
@@ -377,7 +379,9 @@ class JsonlSink(ResultSink):
         self._header: Optional[RunHeader] = None
         #: The cell index that closes a trial block (flush point).
         self._last_cell: Optional[int] = None
-        #: Records and bytes written since the last flush.
+        #: The (fraction, trial) of the records written since the last
+        #: flush, and how many records and bytes they are.
+        self._block_fraction = self._block_trial = -1
         self._pending = 0
         self._pending_bytes = 0
         self._path_text = str(self.path)
@@ -457,6 +461,13 @@ class JsonlSink(ResultSink):
             raise ReproError(
                 f"sink {self.path} received a record before begin()"
             )
+        if self._pending and (
+            record.trial_index != self._block_trial
+            or record.fraction_index != self._block_fraction
+        ):
+            # Another trial's record: the pending block is complete,
+            # whatever order its cells came in.
+            self._flush_block()
         line = record.to_json_line()
         try:
             fire("results.sink.write", path=self._path_text)
@@ -464,6 +475,8 @@ class JsonlSink(ResultSink):
         except OSError as exc:
             self._degrade()
             raise SinkWriteError(self.path, exc) from exc
+        self._block_fraction = record.fraction_index
+        self._block_trial = record.trial_index
         self._pending += 1
         self._pending_bytes += len(line)
         if record.cell_index == self._last_cell:

@@ -46,6 +46,7 @@ from repro.exper import (
     MinimalRoa,
     NoRoa,
     ScenarioCell,
+    aggregate_records,
     evaluate_trial,
     evaluate_trials,
     materialize_trials,
@@ -466,7 +467,10 @@ def _chunk_spec(**kwargs) -> ExperimentSpec:
     return ExperimentSpec(**defaults)
 
 
-def _one_by_one(topology, spec, trials, *, workspace=None, observe=None):
+def _one_by_one(
+    topology, spec, trials, *, workspace=None, observe=None,
+    first_chunk=None,
+):
     """evaluate_trials as a plain map of workspace-free evaluate_trial."""
     for trial in trials:
         records = evaluate_trial(topology, spec, trial)
@@ -483,12 +487,39 @@ class TestChunkedEvaluation:
         evaluate_module._CHUNK + 1,
         evaluate_module._CHUNK + 2,
     ])
-    def test_chunk_boundaries(self, count):
+    @pytest.mark.parametrize("first_chunk", [None, 1])
+    def test_chunk_boundaries(self, count, first_chunk):
         topology = _synthetic(70, 2)
         spec = _chunk_spec()
         trials = materialize_trials(spec, topology)[:count]
-        assert list(evaluate_trials(topology, spec, trials)) == list(
-            _one_by_one(topology, spec, trials)
+        assert list(evaluate_trials(
+            topology, spec, trials, first_chunk=first_chunk
+        )) == list(_one_by_one(topology, spec, trials))
+
+    def test_streaming_reader_gets_a_one_trial_first_chunk(
+        self, monkeypatch
+    ):
+        """``iter_records`` pulls one trial before its first record;
+        ``run`` pulls a whole chunk, since it drains the stream."""
+        import repro.exper.runner as runner_module
+
+        topology = _synthetic(70, 2)
+        spec = _chunk_spec()
+        seen = []
+        real = runner_module.evaluate_trials
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("first_chunk"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "evaluate_trials", spy)
+        streamed = list(ExperimentRunner(topology, spec).iter_records())
+        result = ExperimentRunner(topology, spec).run(
+            bootstrap_resamples=100
+        )
+        assert seen == [1, None]
+        assert result == aggregate_records(
+            spec, streamed, bootstrap_resamples=100
         )
 
     def test_a_bad_trial_mid_chunk_fails_like_one_by_one(self):

@@ -136,6 +136,37 @@ class TestRecordWireSchema:
 
         assert record.to_json_line() == _encode_line(record.to_json_dict())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.builds(
+            TrialRecord,
+            fraction_index=st.integers(0, 1),
+            trial_index=st.integers(0, 1),
+            cell_index=st.integers(0, 2),
+            fraction=st.sampled_from(
+                (None, 0.0, -0.0, 0.5, 1, float("inf"), float("nan"))
+            ),
+            cell=st.sampled_from(("a", "b", "\u00e9")),
+            victim=st.integers(0, 1),
+            attackers=st.lists(st.integers(0, 2), max_size=3).map(tuple),
+            attacker_fraction=st.sampled_from((0.0, -0.0, 1.0, 0.1)),
+            victim_fraction=st.sampled_from((0.0, -0.0, 1.0, 0.1)),
+            disconnected_fraction=st.sampled_from((0.0, -0.0, 0.9)),
+            attack_route_filtered=st.booleans(),
+        ),
+        max_size=12,
+    ))
+    def test_line_segments_reused_only_for_equal_text(self, records):
+        """Records that share a cell or a trial reuse formatted
+        segments; a fraction that compares equal but prints
+        differently (0.0, -0.0, 1) never borrows another's text."""
+        from repro.results.sinks import _encode_line
+
+        for record in records:
+            assert record.to_json_line() == _encode_line(
+                record.to_json_dict()
+            )
+
     def test_round_trip(self):
         record = sample_record()
         wire = record.to_json_dict()
@@ -258,6 +289,50 @@ class TestJsonlDurability:
         assert on_disk() == 3
         sink.close()  # close flushes an unfinished block too
         assert on_disk() == 4
+
+    def test_out_of_order_cells_flush_when_the_trial_changes(
+        self, tmp_path
+    ):
+        """The last cell's record is only a shortcut: a record of
+        another trial flushes the pending block, so records that arrive
+        out of cell order never wait past their trial."""
+        spec = small_spec(cells=(
+            ScenarioCell("forged-origin-subprefix", MinimalRoa()),
+            ScenarioCell("forged-origin-subprefix", MaxLengthLooseRoa()),
+            ScenarioCell("subprefix-hijack", MinimalRoa()),
+        ))
+        path = tmp_path / "run.jsonl"
+        sink = JsonlSink(path)
+        sink.begin(RunHeader(
+            spec_hash=spec.spec_hash(), seed=spec.seed,
+            engine=spec.engine, spec=spec.to_json_dict(),
+        ))
+
+        def on_disk() -> list:
+            lines = path.read_bytes().splitlines()[1:]
+            return [
+                (record["trial_index"], record["cell_index"])
+                for record in map(json.loads, lines)
+            ]
+
+        order = [(0, 1), (0, 2), (0, 0), (1, 0), (2, 2), (2, 0)]
+        expected_after = [
+            [],
+            [(0, 1), (0, 2)],  # the last cell flushes what is pending
+            [(0, 1), (0, 2)],
+            [(0, 1), (0, 2), (0, 0)],  # trial 1 begins: trial 0 out
+            # Trial 2 begins (trial 1 out) with its last cell.
+            [(0, 1), (0, 2), (0, 0), (1, 0), (2, 2)],
+            [(0, 1), (0, 2), (0, 0), (1, 0), (2, 2)],
+        ]
+        for (trial, cell), expected in zip(order, expected_after):
+            sink.write(sample_record(trial_index=trial, cell_index=cell))
+            assert on_disk() == expected
+        sink.finish([3])
+        assert on_disk() == order
+        sink.close()
+        _, records = read_run(path)
+        assert len(records) == len(order)
 
     def test_truncated_tail_recovered(self, topology, tmp_path):
         path = tmp_path / "run.jsonl"
